@@ -256,6 +256,8 @@ def cmd_select_k(args: argparse.Namespace) -> int:
             n_reps=args.reps,
             seed=args.seed,
         )
+    except GmrError:
+        raise  # data and runtime errors exit 1, even those that are ValueErrors
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     out = Path(args.out)

@@ -3,9 +3,10 @@
 A dataset is an ordered collection of groups.  Every observation in a group is
 known to come from a single latent regression cluster, so posteriors live at
 the group level while responses and features live at the observation level.
-Per-group second moments are computed once (`compute_group_stats`) and reused
-by the EM engine, which then only needs the raw observations for residual
-passes.
+Each group's rows are reduced once, when first needed, to a small triangular
+factor (`GroupedDataset.factors`) and to second moments
+(`compute_group_stats`).  The EM engine works on these alone, so an EM
+iteration never touches the raw observations.
 
 All containers are frozen dataclasses holding read-only arrays; they are safe
 to share across threads and between operations without copying.
@@ -143,6 +144,33 @@ class GroupedDataset:
         offsets.setflags(write=False)
         return y, X, offsets
 
+    @cached_property
+    def factors(self) -> NDArray[np.float64]:
+        """Per-group upper-triangular factors, shape (R, p + 1, p + 1).
+
+        ``factors[r]`` is the R factor of the QR decomposition of the group's
+        augmented rows ``[X_r | y_r] / sqrt(n_r)``, zero-padded below when
+        ``n_r < p + 1``.  Its Gram matrix ``factors[r].T @ factors[r]`` holds the
+        group's mean second moments of ``(x, y)``, and for any coefficient
+        vector b the group's mean squared residual is
+        ``||factors[r] @ [b; -1]||^2``.  Unlike the moment form
+        ``mean(y^2) - 2 b'mean(y x) + b'mean(x x')b``, this does not cancel
+        catastrophically when the responses sit far from zero.
+
+        Groups of equal size are factored in one batched call.
+        """
+        q = self.p + 1
+        T = np.zeros((self.R, q, q))
+        for n in np.unique(self.n_r):
+            idx = np.flatnonzero(self.n_r == n)
+            rows = np.empty((idx.size, n, q))
+            for j, r in enumerate(idx):
+                rows[j, :, :-1] = self.groups[r].features
+                rows[j, :, -1] = self.groups[r].responses
+            T[idx, : min(n, q)] = np.linalg.qr(rows, mode="r") / np.sqrt(n)
+        T.setflags(write=False)
+        return T
+
 
 def validate_dataset(d: GroupedDataset) -> None:
     """Check all dataset invariants, raising on the first violation.
@@ -261,7 +289,7 @@ class Responsibilities:
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Per-group second moments, computed once and reused across EM iterations.
+    """Per-group sufficient statistics, computed once and reused across EM iterations.
 
     Attributes
     ----------
@@ -272,22 +300,25 @@ class GroupStats:
         ``rho_hat[r]`` is the mean of ``y_ri * x_ri`` over group r.
     n_r : ndarray, shape (R,)
         Group sizes.
-    y_sq_mean : ndarray, shape (R,)
-        Mean squared response per group.  Together with the moments above it
-        lets the per-group mean squared residual of any coefficient vector be
-        assembled without another pass over the observations.
+    factors : ndarray, shape (R, p + 1, p + 1)
+        The dataset's `GroupedDataset.factors`: per-group triangular factors
+        from which the mean squared residual of any coefficient vector is
+        read off stably, without another pass over the observations.
+        ``factors[r].T @ factors[r]`` equals
+        ``[[sigma_hat[r], rho_hat[r]], [rho_hat[r]', mean(y_r^2)]]`` up to
+        rounding.
     """
 
     sigma_hat: NDArray[np.float64]
     rho_hat: NDArray[np.float64]
     n_r: NDArray[np.int64]
-    y_sq_mean: NDArray[np.float64]
+    factors: NDArray[np.float64]
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_hat", _readonly(self.sigma_hat))
         object.__setattr__(self, "rho_hat", _readonly(self.rho_hat))
         object.__setattr__(self, "n_r", _readonly(self.n_r, dtype=np.int64))
-        object.__setattr__(self, "y_sq_mean", _readonly(self.y_sq_mean))
+        object.__setattr__(self, "factors", _readonly(self.factors))
 
     @property
     def R(self) -> int:
@@ -299,13 +330,14 @@ class GroupStats:
 
 
 def compute_group_stats(d: GroupedDataset) -> GroupStats:
-    """Compute per-group moments once, before any EM iteration.
+    """Compute per-group statistics once, before any EM iteration.
 
     For each group r with observations ``(y_ri, x_ri)``:
 
     - ``sigma_hat[r] = mean_i(x_ri x_ri^T)``
     - ``rho_hat[r]   = mean_i(y_ri x_ri)``
-    - ``y_sq_mean[r] = mean_i(y_ri^2)``
+    - ``factors[r]``, the triangular factor of ``[X_r | y_r] / sqrt(n_r)``
+      (cached on the dataset, see `GroupedDataset.factors`)
 
     The dataset is validated first; see `validate_dataset` for the errors.
     """
@@ -313,11 +345,9 @@ def compute_group_stats(d: GroupedDataset) -> GroupStats:
     R, p = d.R, d.p
     sigma_hat = np.empty((R, p, p))
     rho_hat = np.empty((R, p))
-    y_sq = np.empty(R)
     for r, g in enumerate(d.groups):
         X, y = g.features, g.responses
         S = X.T @ X / g.n
         sigma_hat[r] = (S + S.T) / 2.0  # exact symmetry despite float addition order
         rho_hat[r] = y @ X / g.n
-        y_sq[r] = np.mean(y * y)
-    return GroupStats(sigma_hat=sigma_hat, rho_hat=rho_hat, n_r=d.n_r, y_sq_mean=y_sq)
+    return GroupStats(sigma_hat=sigma_hat, rho_hat=rho_hat, n_r=d.n_r, factors=d.factors)

@@ -7,12 +7,16 @@ Gaussian densities.  That product underflows already for moderate group sizes,
 so the E-step works on log densities throughout and normalizes with
 log-sum-exp.
 
-The M-steps are closed forms in the cached group moments: pi is the mean
+The M-steps are closed forms in the cached group statistics: pi is the mean
 responsibility, beta_k solves a weighted normal-equation system pooled over
 groups, and sigma2_k is a weighted average of per-group mean squared
-residuals.  Group weights enter only through w_rk = n_r * tau_rk and its
-column normalization, so all heavy lifting is O(R) per cluster regardless of
-the raw observation count, except for the residual pass in the sigma2 update.
+residuals.  Those residuals come from each group's (p+1) x (p+1) triangular
+factor (`GroupedDataset.factors`), the same way in `log_joint` and in
+`m_step_sigma2`.  Group weights enter only through w_rk = n_r * tau_rk and
+its column normalization, so an iteration costs O(R K p^2) regardless of the
+raw observation count: one matrix product for the residuals, one batched
+Cholesky factorization for the K beta systems and one log-sum-exp for both
+the log-likelihood and the responsibilities.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .data import (
     GroupedDataset,
@@ -160,13 +163,42 @@ class FitResult:
     ll_trace: NDArray[np.float64] | None
 
 
+def _mean_sq_residuals(factors: np.ndarray, beta: np.ndarray) -> NDArray[np.float64]:
+    """Per-group mean squared residual under each cluster's coefficients, (R, K).
+
+    ``E_rk = ||T_r [beta_k; -1]||^2`` with T_r the triangular factor of group
+    r's scaled rows ``[X_r | y_r] / sqrt(n_r)``; one matrix product serves all
+    groups and clusters.  The result is the transpose of a cluster-major
+    (K, R) array: numpy reduces a short last axis row by row, several times
+    slower than across contiguous rows, and the E-step reduces over clusters.
+    """
+    R, q, _ = factors.shape
+    K = beta.shape[1]
+    augmented = np.vstack([beta, np.full((1, K), -1.0)])  # (p + 1, K)
+    v = (augmented.T @ factors.reshape(R * q, q).T).reshape(K, R, q)
+    return np.einsum("krq,krq->kr", v, v).T
+
+
+def _log_normalize(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp over the last axis, and the scores normalized to weights.
+
+    Each row is shifted by its maximum before exponentiating, so nothing
+    overflows and the largest term is exactly 1.  Entries of ``-inf`` get
+    weight 0; every row needs at least one finite entry.
+    """
+    top = np.max(scores, axis=-1, keepdims=True)
+    e = np.exp(scores - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return (top + np.log(total))[..., 0], e / total
+
+
 def log_joint(stats: GroupStats, params: ModelParams) -> NDArray[np.float64]:
     """Log joint density of (group r, cluster k) up to the fixed features.
 
     Entry (r, k) is ``log pi_k + sum_i log phi_{sigma_k}(y_ri - beta_k' x_ri)``
     where phi_s is the normal density with standard deviation s.  The residual
-    sum is assembled from the cached group moments: with E_rk the mean squared
-    residual of group r under beta_k,
+    sum comes from the cached group factors: with E_rk the mean squared
+    residual of group r under beta_k (see `GroupStats.factors`),
 
         entry(r, k) = log pi_k - (n_r / 2) log(2 pi sigma2_k)
                       - n_r E_rk / (2 sigma2_k).
@@ -184,15 +216,14 @@ def log_joint(stats: GroupStats, params: ModelParams) -> NDArray[np.float64]:
         raise DimensionMismatchError(
             f"stats have p={stats.p} but params have p={params.p}"
         )
-    B = params.beta  # (p, K)
-    quad = np.einsum("rij,ik,jk->rk", stats.sigma_hat, B, B, optimize=True)
-    cross = stats.rho_hat @ B  # (R, K)
-    E = stats.y_sq_mean[:, None] - 2.0 * cross + quad  # mean squared residuals
-    n_r = stats.n_r[:, None].astype(float)
+    E = _mean_sq_residuals(stats.factors, params.beta)
+    n_r = stats.n_r.astype(float)
     with np.errstate(divide="ignore"):  # pi_k == 0 legitimately maps to -inf
         log_pi = np.log(params.pi)
     norm_const = -0.5 * np.log(2.0 * np.pi * params.sigma2)
-    return log_pi[None, :] + n_r * norm_const[None, :] - n_r * E / (2.0 * params.sigma2[None, :])
+    # Cluster-major like E (see `_mean_sq_residuals`), returned as (R, K).
+    lj = log_pi[:, None] + n_r * norm_const[:, None] - n_r * E.T / (2.0 * params.sigma2[:, None])
+    return lj.T
 
 
 def e_step(log_joint_matrix: NDArray[np.float64]) -> Responsibilities:
@@ -202,15 +233,12 @@ def e_step(log_joint_matrix: NDArray[np.float64]) -> Responsibilities:
     Entries of ``-inf`` (impossible clusters) are handled exactly; rows must
     contain at least one finite entry.
     """
-    lj = np.asarray(log_joint_matrix, dtype=float)
-    norm = logsumexp(lj, axis=1, keepdims=True)
-    return Responsibilities(np.exp(lj - norm))
+    return Responsibilities(_log_normalize(np.asarray(log_joint_matrix, dtype=float))[1])
 
 
 def log_marginal_likelihood(log_joint_matrix: NDArray[np.float64]) -> float:
     """Observed-data log-likelihood: sum over groups of logsumexp over clusters."""
-    lj = np.asarray(log_joint_matrix, dtype=float)
-    return float(logsumexp(lj, axis=1).sum())
+    return float(_log_normalize(np.asarray(log_joint_matrix, dtype=float))[0].sum())
 
 
 def m_step_pi(tau: Responsibilities) -> NDArray[np.float64]:
@@ -241,6 +269,26 @@ def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
                 ) from None
 
 
+def _pooled_systems(stats: GroupStats, tau: Responsibilities) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster normal-equation matrices (K, p, p) and right-hand sides (K, p).
+
+    Raises `EmptyClusterError` as documented in `m_step_beta`.
+    """
+    n_r = stats.n_r[:, None].astype(float)
+    w = n_r * tau.tau  # (R, K)
+    w_plus = w.sum(axis=0)
+    n_total = float(stats.n_r.sum())
+    if (w_plus < EMPTY_CLUSTER_REL_TOL * n_total).any():
+        k_bad = int(np.argmin(w_plus))
+        raise EmptyClusterError(
+            f"cluster {k_bad} holds weight {w_plus[k_bad]:.3e} of {n_total:.0f} observations"
+        )
+    w_check = (w / w_plus).T  # (K, R)
+    R, p = stats.R, stats.p
+    pooled_sigma = (w_check @ stats.sigma_hat.reshape(R, p * p)).reshape(-1, p, p)
+    return pooled_sigma, w_check @ stats.rho_hat
+
+
 def m_step_beta(
     stats: GroupStats, tau: Responsibilities, ridge: float = 1e-10
 ) -> NDArray[np.float64]:
@@ -254,7 +302,10 @@ def m_step_beta(
 
     via a symmetric positive-definite factorization.  This equals the normal
     equations of a per-observation least squares problem where every
-    observation of group r carries weight ``tau_rk``.
+    observation of group r carries weight ``tau_rk``.  All K systems are
+    factored in one batched Cholesky call at ``lambda = ridge * trace/p``;
+    only if some system fails there are they solved one by one through the
+    ridge escalation of `_solve_spd`.
 
     Raises
     ------
@@ -264,31 +315,17 @@ def m_step_beta(
     SingularSystemError
         If a system stays unfactorizable through the ridge escalation.
     """
-    n_r = stats.n_r[:, None].astype(float)
-    w = n_r * tau.tau  # (R, K)
-    w_plus = w.sum(axis=0)
-    n_total = float(stats.n_r.sum())
-    if (w_plus < EMPTY_CLUSTER_REL_TOL * n_total).any():
-        k_bad = int(np.argmin(w_plus))
-        raise EmptyClusterError(
-            f"cluster {k_bad} holds weight {w_plus[k_bad]:.3e} of {n_total:.0f} observations"
-        )
-    w_check = w / w_plus
-    pooled_sigma = np.einsum("rk,rij->kij", w_check, stats.sigma_hat, optimize=True)
-    pooled_rho = w_check.T @ stats.rho_hat  # (K, p)
+    pooled_sigma, pooled_rho = _pooled_systems(stats, tau)
     K, p = pooled_rho.shape
-    beta = np.empty((p, K))
-    for k in range(K):
-        beta[:, k] = _solve_spd(pooled_sigma[k], pooled_rho[k], ridge)
-    return beta
-
-
-def _mean_sq_residuals(d: GroupedDataset, beta: np.ndarray) -> NDArray[np.float64]:
-    """Per-group mean squared residual under each cluster's coefficients, (R, K)."""
-    y, X, offsets = d.stacked
-    resid_sq = (y[:, None] - X @ beta) ** 2  # (n, K)
-    sums = np.add.reduceat(resid_sq, offsets, axis=0)
-    return sums / d.n_r[:, None]
+    scale = np.trace(pooled_sigma, axis1=1, axis2=2) / p
+    try:
+        L = np.linalg.cholesky(pooled_sigma + (ridge * scale)[:, None, None] * np.eye(p))
+    except np.linalg.LinAlgError:
+        return np.column_stack(
+            [_solve_spd(pooled_sigma[k], pooled_rho[k], ridge) for k in range(K)]
+        )
+    half = np.linalg.solve(L, pooled_rho[:, :, None])
+    return np.linalg.solve(np.swapaxes(L, 1, 2), half)[:, :, 0].T
 
 
 def m_step_sigma2(
@@ -299,12 +336,13 @@ def m_step_sigma2(
 ) -> NDArray[np.float64]:
     """Update noise variances: weighted average of mean squared residuals.
 
-    ``sigma2_k = max(floor, sum_r w_check[r, k] * E_rk)`` where E_rk is
-    computed by a direct residual pass over group r with the freshly updated
-    beta.  The floor keeps every variance strictly positive even when a
-    cluster interpolates its groups exactly.
+    ``sigma2_k = max(floor, sum_r w_check[r, k] * E_rk)`` where E_rk is group
+    r's mean squared residual under the freshly updated beta, read off the
+    dataset's cached triangular factors (`GroupedDataset.factors`).  The floor
+    keeps every variance strictly positive even when a cluster interpolates
+    its groups exactly.
     """
-    E = _mean_sq_residuals(d, beta)
+    E = _mean_sq_residuals(d.factors, beta)
     w = d.n_r[:, None].astype(float) * tau.tau
     w_plus = w.sum(axis=0)
     safe = np.where(w_plus > 0, w_plus, 1.0)  # empty column -> weighted sum 0 -> floor
@@ -436,9 +474,9 @@ def _run_restart(
         beta = m_step_beta(stats, tau, cfg.ridge)
         sigma2 = m_step_sigma2(d, tau, beta, floor)
         params = ModelParams(pi=pi, beta=beta, sigma2=sigma2)
-        lj = log_joint(stats, params)
-        ll_trace[t] = log_marginal_likelihood(lj)
-        new_tau = e_step(lj)
+        row_ll, posterior = _log_normalize(log_joint(stats, params))
+        ll_trace[t] = row_ll.sum()
+        new_tau = Responsibilities(posterior)
         delta = np.abs(new_tau.tau - tau.tau).max()
         tau = new_tau
         n_iter = t + 1
@@ -500,8 +538,7 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
     if cfg.sigma2_floor is not None:
         floor = cfg.sigma2_floor
     else:
-        y = d.stacked[0]
-        var_y = float(np.var(y))
+        var_y = float(np.var(np.concatenate([g.responses for g in d.groups])))
         # A constant response would zero the relative floor; keep it positive.
         floor = VAR_FLOOR_REL * var_y if var_y > 0 else VAR_FLOOR_REL
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import logsumexp
 
 from .data import GroupedDataset, ModelParams
-from .em import FitResult
+from .em import FitResult, _log_normalize
 from .errors import DimensionMismatchError, UnknownGroupError
 
 __all__ = [
@@ -29,6 +28,19 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _log_mixture_density(y, weights, means, sigmas2) -> np.ndarray:
+    """``log sum_k w_k N(y; means[..., k], sigmas2[k])`` for every entry of ``y``.
+
+    ``means`` has ``y``'s shape plus a trailing axis of length K; zero
+    weights drop out exactly.
+    """
+    z = y[..., None] - means
+    log_comp = -0.5 * (_LOG_2PI + np.log(sigmas2)) - z * z / (2.0 * sigmas2)
+    with np.errstate(divide="ignore"):  # zero weights drop out as -inf
+        log_w = np.log(weights)
+    return _log_normalize(log_w + log_comp)[0]
 
 
 @dataclass(frozen=True)
@@ -56,11 +68,7 @@ class PredictiveMixture:
     def log_density(self, y) -> np.ndarray | float:
         """Log mixture density at y (scalar or vector), stable for tiny weights."""
         y_arr = np.asarray(y, dtype=float)
-        z = y_arr[..., None] - self.means
-        log_comp = -0.5 * (_LOG_2PI + np.log(self.sigmas2)) - z * z / (2.0 * self.sigmas2)
-        with np.errstate(divide="ignore"):  # zero weights drop out as -inf
-            log_w = np.log(self.weights)
-        out = logsumexp(log_w + log_comp, axis=-1)
+        out = _log_mixture_density(y_arr, self.weights, self.means, self.sigmas2)
         return float(out) if y_arr.ndim == 0 else out
 
     def density(self, y) -> np.ndarray | float:
@@ -163,14 +171,7 @@ def predict_groups(
             row = params.pi
         means = g.features @ params.beta  # (n_g, K)
         pred_parts.append(means @ row)
-        z = g.responses[:, None] - means
-        log_comp = (
-            -0.5 * (_LOG_2PI + np.log(params.sigma2))
-            - z * z / (2.0 * params.sigma2)
-        )
-        with np.errstate(divide="ignore"):
-            log_w = np.log(row)
-        logden_parts.append(logsumexp(log_w + log_comp, axis=1))
+        logden_parts.append(_log_mixture_density(g.responses, row, means, params.sigma2))
         fallback_parts.append(np.full(g.n, fallback))
         ids.extend([g.id] * g.n)
 

@@ -184,6 +184,17 @@ def test_select_k_writes_report_pair(sim_dir, tmp_path, capsys):
     assert lines[0] == "K,mean_rmse,sd_rmse"
 
 
+def test_select_k_data_error_exit_1_usage_error_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("group,y,x1\na,1.0,0.5\na,2.0,1.5\na,0.5,-1.0\nb,3.0,2.0\n")
+    base = ["select-k", "--data", str(data), "--k-grid", "2", "--out", str(tmp_path / "r.json")]
+    # group b has one row and cannot be split: a data error
+    assert run(base + ["--reps", "1"]) == 1
+    assert "groups too small to split: 'b'" in capsys.readouterr().err
+    assert run(base + ["--reps", "0"]) == 2
+    assert "n_reps must be at least 1" in capsys.readouterr().err
+
+
 def test_benchmark_jsonl_and_aggregate(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(

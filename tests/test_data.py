@@ -98,12 +98,21 @@ def test_stacked_matches_group_blocks():
         start += g.n
 
 
+def factor_gram(s, r):
+    """Gram matrix of group r's triangular factor: its (x, y) second moments."""
+    return s.factors[r].T @ s.factors[r]
+
+
+def moment_block(sig, rho, y_sq_mean):
+    return np.block([[sig, rho[:, None]], [rho[None, :], np.array([[y_sq_mean]])]])
+
+
 def test_stats_single_point():
     d = make_dataset([([3.0], [[1.0, 0.0]])])
     s = compute_group_stats(d)
     assert_allclose(s.sigma_hat[0], [[1.0, 0.0], [0.0, 0.0]])
     assert_allclose(s.rho_hat[0], [3.0, 0.0])
-    assert_allclose(s.y_sq_mean[0], 9.0)
+    assert_allclose(factor_gram(s, 0), moment_block(s.sigma_hat[0], s.rho_hat[0], 9.0), atol=1e-12)
 
 
 def test_stats_two_point_average():
@@ -124,7 +133,8 @@ def test_stats_match_brute_force_loops():
         rho = sum(y[i] * X[i] for i in range(n)) / n
         assert_allclose(s.sigma_hat[0], sig, atol=1e-12)
         assert_allclose(s.rho_hat[0], rho, atol=1e-12)
-        assert_allclose(s.y_sq_mean[0], np.mean(y**2), atol=1e-12)
+        assert_allclose(factor_gram(s, 0), moment_block(sig, rho, np.mean(y**2)), atol=1e-12)
+        assert (np.tril(s.factors[0], -1) == 0).all()
 
 
 def test_stats_invariant_under_duplication():
@@ -135,7 +145,7 @@ def test_stats_invariant_under_duplication():
     s2 = compute_group_stats(make_dataset([(np.tile(y, 3), np.tile(X, (3, 1)))]))
     assert_allclose(s1.sigma_hat, s2.sigma_hat, atol=1e-12)
     assert_allclose(s1.rho_hat, s2.rho_hat, atol=1e-12)
-    assert_allclose(s1.y_sq_mean, s2.y_sq_mean, atol=1e-12)
+    assert_allclose(factor_gram(s1, 0), factor_gram(s2, 0), atol=1e-12)
 
 
 def test_stats_sigma_hat_exactly_symmetric():

@@ -101,6 +101,30 @@ def test_log_joint_matches_per_observation_reference():
         assert_allclose(lj, brute_log_joint(d, params), rtol=1e-9, atol=1e-9)
 
 
+def test_log_joint_and_sigma2_stay_exact_at_large_response_offsets():
+    # 20 groups of 8 rows with an intercept and noise sd 1e-3: the moment form
+    # mean(y^2) - 2 rho'b + b' Sigma b cancels away every significant digit of
+    # the mean squared residual (about 1e-6) once the responses sit at 1e5.
+    rng = np.random.default_rng(19)
+    for offset in (1e5, 1e6):
+        truth = np.array([offset, 2.0])
+        groups = []
+        for _ in range(20):
+            X = np.column_stack([np.ones(8), rng.normal(size=8)])
+            groups.append((X @ truth + 1e-3 * rng.normal(size=8), X))
+        d = make_dataset(groups)
+        beta = np.column_stack([truth, truth + [2e-3, -1e-3]])
+        params = ModelParams([0.5, 0.5], beta, [1e-6, 2e-6])
+        lj = log_joint(compute_group_stats(d), params)
+        assert_allclose(lj, brute_log_joint(d, params), rtol=0, atol=1e-4)
+
+        tau = random_tau(rng, d.R, K=2)
+        y, X, _ = d.stacked
+        w = np.repeat(tau.tau, d.n_r, axis=0)
+        direct = (w * (y[:, None] - X @ beta) ** 2).sum(axis=0) / w.sum(axis=0)
+        assert_allclose(m_step_sigma2(d, tau, beta, floor=1e-300), direct, rtol=1e-6)
+
+
 # ------------------------------------------------------------------ e_step
 
 
@@ -235,6 +259,44 @@ def test_m_step_beta_ridge_rescues_duplicate_columns():
     tau = Responsibilities(np.ones((1, 1)))
     beta = m_step_beta(compute_group_stats(d), tau)
     assert np.isfinite(beta).all()
+
+
+def per_system_beta(stats, tau, ridge):
+    """Reference for `m_step_beta`: each cluster's system through `_solve_spd`."""
+    pooled_sigma, pooled_rho = em._pooled_systems(stats, tau)
+    return np.column_stack(
+        [em._solve_spd(pooled_sigma[k], pooled_rho[k], ridge) for k in range(tau.K)]
+    )
+
+
+def test_m_step_beta_batched_solve_matches_per_system_ladder(monkeypatch):
+    rng = np.random.default_rng(20)
+    d = random_dataset(rng, R=12, p=3, n_lo=3, n_hi=8)
+    stats = compute_group_stats(d)
+    tau = random_tau(rng, d.R, K=4)
+    for ridge in (1e-10, 0.0):
+        assert_allclose(m_step_beta(stats, tau, ridge), per_system_beta(stats, tau, ridge),
+                        rtol=1e-12, atol=0)
+
+    # Cluster 1 owns four groups of four rows whose first two columns are the
+    # same +-1 column, so its system is exactly singular (pivot 1 - 1 = 0):
+    # the batched factorization raises and every system goes down the ladder.
+    groups, labels = [], []
+    for k in range(3):
+        for _ in range(4):
+            X = rng.normal(size=(4, 3))
+            if k == 1:
+                X[:, 1] = X[:, 0] = rng.choice([-1.0, 1.0], size=4)
+            groups.append((rng.normal(size=4), X))
+            labels.append(k)
+    stats = compute_group_stats(make_dataset(groups))
+    tau = Responsibilities(np.eye(3)[labels])
+    expected = per_system_beta(stats, tau, 0.0)
+    calls = []
+    real = em._solve_spd
+    monkeypatch.setattr(em, "_solve_spd", lambda *a: calls.append(a) or real(*a))
+    assert_allclose(m_step_beta(stats, tau, ridge=0.0), expected, rtol=1e-12, atol=0)
+    assert len(calls) == 3
 
 
 # ------------------------------------------------------------ m_step_sigma2
