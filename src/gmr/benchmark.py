@@ -4,8 +4,8 @@ Every grid cell runs ``n_reps`` independent replications of
 generate -> split -> fit -> predict -> evaluate.  Replication seeds are
 derived from the master seed and the (cell, rep) coordinates, so results do
 not depend on execution order and a worker pool produces exactly the
-sequential output.  Failures inside a replication are recorded on its record
-rather than aborting the sweep.
+sequential output.  A `GmrError` inside a replication is recorded on its
+record rather than aborting the sweep; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .em import EmConfig, fit
+from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
 from .predict import map_predict_fmr, predict_groups
 from .simulate import SimConfig, generate, train_test_split
@@ -83,6 +84,14 @@ class BenchmarkSpec:
         if bad:
             raise ValueError(f"unknown metrics: {sorted(bad)}; choose from {_METRIC_NAMES}")
         object.__setattr__(self, "metrics", tuple(self.metrics))
+        self._em_template()  # reject bad EM settings before any fit
+
+    def _em_template(self) -> EmConfig:
+        """EM settings of every fit; each replication sets its own K and seed."""
+        return EmConfig(
+            K=1, n_restarts=self.restarts, max_iter=self.max_iter, epsilon=self.epsilon,
+            init=self.init,
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkSpec":
@@ -101,7 +110,7 @@ class BenchmarkSpec:
 
 
 def _replicate(task: tuple) -> dict:
-    cell, cell_idx, rep, base_seed, test_frac, em_opts, want_rmse = task
+    cell, cell_idx, rep, base_seed, test_frac, em_template, want_rmse = task
     record = {
         **cell,
         "rep": rep,
@@ -119,20 +128,12 @@ def _replicate(task: tuple) -> dict:
     tag, s_gen, s_split, s_fit = (int(v) for v in seq.generate_state(4))
     record["seed"] = tag
     try:
-        sim = SimConfig(
-            n=cell["n"],
-            K=cell["K"],
-            p=cell["p"],
-            G=cell["G"],
-            sigma=cell["sigma"],
-            delta_beta=cell["delta_beta"],
-            seed=s_gen,
-        )
+        sim = SimConfig(**cell, seed=s_gen)  # a cell holds exactly the grid fields
         data, truth = generate(sim)
         train = data
         if want_rmse:
             train, test = train_test_split(data, test_frac, s_split)
-        result = fit(train, EmConfig(K=sim.K, seed=s_fit, **em_opts))
+        result = fit(train, replace(em_template, K=sim.K, seed=s_fit))
 
         est = result.tau.hard_labels()
         f = confusion(truth.labels, est, n_true=sim.K, n_est=result.params.K)
@@ -147,22 +148,17 @@ def _replicate(task: tuple) -> dict:
             record["rmse_fmr"] = rmse(y_test, map_predict_fmr(result.params, x_test))
         record["n_iter"] = result.n_iter
         record["converged"] = result.converged
-    except Exception as exc:  # a failed replication is data, not a crash
+    except GmrError as exc:  # a failed replication is data, not a crash
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record
 
 
 def iter_records(spec: BenchmarkSpec, jobs: int = 1) -> Iterator[dict]:
     """Yield one record per replication, in deterministic (cell, rep) order."""
-    em_opts = {
-        "n_restarts": spec.restarts,
-        "max_iter": spec.max_iter,
-        "epsilon": spec.epsilon,
-        "init": spec.init,
-    }
+    em_template = spec._em_template()
     want_rmse = "rmse" in spec.metrics
     tasks = [
-        (cell, cell_idx, rep, spec.seed, spec.test_frac, em_opts, want_rmse)
+        (cell, cell_idx, rep, spec.seed, spec.test_frac, em_template, want_rmse)
         for cell_idx, cell in enumerate(spec.cells())
         for rep in range(spec.n_reps)
     ]

@@ -148,18 +148,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# EmConfig field -> command line flag (argparse attribute).
+_EM_FLAGS = {
+    "K": "K",
+    "epsilon": "epsilon",
+    "max_iter": "max_iter",
+    "n_restarts": "restarts",
+    "init": "init",
+    "sigma2_floor": "sigma2_floor",
+    "ridge": "ridge",
+    "seed": "seed",
+}
+
+
 def _em_config(args: argparse.Namespace) -> EmConfig:
-    fields = {
-        "K": "K",
-        "epsilon": "epsilon",
-        "max_iter": "max_iter",
-        "n_restarts": "restarts",
-        "init": "init",
-        "sigma2_floor": "sigma2_floor",
-        "ridge": "ridge",
-        "seed": "seed",
-    }
-    conf = _merged_config(args, fields, set(fields))
+    conf = _merged_config(args, _EM_FLAGS, set(_EM_FLAGS))
     try:
         return EmConfig(**conf)
     except (TypeError, ValueError) as exc:
@@ -235,19 +238,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_select_k(args: argparse.Namespace) -> int:
     data = io.read_dataset_csv(args.data)
     grid = _parse_k_grid(args.k_grid)
-    template = EmConfig(K=1)
-    overrides = {}
-    for field_name, attr in (
-        ("epsilon", "epsilon"),
-        ("max_iter", "max_iter"),
-        ("n_restarts", "restarts"),
-        ("init", "init"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[field_name] = value
+    fields = {f: _EM_FLAGS[f] for f in ("epsilon", "max_iter", "n_restarts", "init")}
+    overrides = _merged_config(args, fields, set(fields))
     try:
-        template = replace(template, **overrides)
+        template = EmConfig(K=1, **overrides)
         report = select_k(
             data,
             grid,

@@ -4,9 +4,10 @@ A dataset is an ordered collection of groups.  Every observation in a group is
 known to come from a single latent regression cluster, so posteriors live at
 the group level while responses and features live at the observation level.
 Each group's rows are reduced once, when first needed, to a small triangular
-factor (`GroupedDataset.factors`) and to second moments
-(`compute_group_stats`).  The EM engine works on these alone, so an EM
-iteration never touches the raw observations.
+factor (`GroupedDataset.factors`); `compute_group_stats` reads the group's
+second moments off that factor's Gram matrix, without another pass over the
+rows.  The EM engine works on these alone, so an EM iteration never touches
+the raw observations.
 
 All containers are frozen dataclasses holding read-only arrays; they are safe
 to share across threads and between operations without copying.
@@ -291,11 +292,14 @@ class Responsibilities:
 class GroupStats:
     """Per-group sufficient statistics, computed once and reused across EM iterations.
 
+    The moments are blocks of the factors' Gram matrices, ``factors[r].T @
+    factors[r] = [[sigma_hat[r], rho_hat[r]], [rho_hat[r]', mean(y_r^2)]]``.
+
     Attributes
     ----------
     sigma_hat : ndarray, shape (R, p, p)
         ``sigma_hat[r]`` is the mean outer product of the feature rows of
-        group r (symmetric, positive semidefinite).
+        group r (exactly symmetric, positive semidefinite).
     rho_hat : ndarray, shape (R, p)
         ``rho_hat[r]`` is the mean of ``y_ri * x_ri`` over group r.
     n_r : ndarray, shape (R,)
@@ -304,9 +308,6 @@ class GroupStats:
         The dataset's `GroupedDataset.factors`: per-group triangular factors
         from which the mean squared residual of any coefficient vector is
         read off stably, without another pass over the observations.
-        ``factors[r].T @ factors[r]`` equals
-        ``[[sigma_hat[r], rho_hat[r]], [rho_hat[r]', mean(y_r^2)]]`` up to
-        rounding.
     """
 
     sigma_hat: NDArray[np.float64]
@@ -332,22 +333,18 @@ class GroupStats:
 def compute_group_stats(d: GroupedDataset) -> GroupStats:
     """Compute per-group statistics once, before any EM iteration.
 
-    For each group r with observations ``(y_ri, x_ri)``:
+    ``factors[r]`` is the triangular factor of group r's ``[X_r | y_r] /
+    sqrt(n_r)``, cached on the dataset (`GroupedDataset.factors`).  The
+    moments are blocks of its Gram matrix ``G_r = factors[r].T @ factors[r]``:
 
-    - ``sigma_hat[r] = mean_i(x_ri x_ri^T)``
-    - ``rho_hat[r]   = mean_i(y_ri x_ri)``
-    - ``factors[r]``, the triangular factor of ``[X_r | y_r] / sqrt(n_r)``
-      (cached on the dataset, see `GroupedDataset.factors`)
+    - ``sigma_hat[r] = mean_i(x_ri x_ri^T)``, G_r's leading p x p block;
+    - ``rho_hat[r]   = mean_i(y_ri x_ri)``, the top of G_r's last column.
 
     The dataset is validated first; see `validate_dataset` for the errors.
     """
     validate_dataset(d)
-    R, p = d.R, d.p
-    sigma_hat = np.empty((R, p, p))
-    rho_hat = np.empty((R, p))
-    for r, g in enumerate(d.groups):
-        X, y = g.features, g.responses
-        S = X.T @ X / g.n
-        sigma_hat[r] = (S + S.T) / 2.0  # exact symmetry despite float addition order
-        rho_hat[r] = y @ X / g.n
-    return GroupStats(sigma_hat=sigma_hat, rho_hat=rho_hat, n_r=d.n_r, factors=d.factors)
+    p, T = d.p, d.factors
+    gram = np.swapaxes(T, 1, 2) @ T
+    S = gram[:, :p, :p]
+    sigma_hat = (S + np.swapaxes(S, 1, 2)) / 2.0  # exact symmetry despite rounding
+    return GroupStats(sigma_hat=sigma_hat, rho_hat=gram[:, :p, p], n_r=d.n_r, factors=T)

@@ -27,7 +27,6 @@ from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import (
     GroupedDataset,
@@ -246,6 +245,17 @@ def m_step_pi(tau: Responsibilities) -> NDArray[np.float64]:
     return tau.tau.mean(axis=0)
 
 
+def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` by Cholesky for A (..., p, p) and b (..., p).
+
+    A stack gets each system's single-call arithmetic, so a batch and a loop
+    agree to the last bit.  Raises ``LinAlgError`` if some A is not definite.
+    """
+    L = np.linalg.cholesky(A)
+    half = np.linalg.solve(L, b[..., None])
+    return np.linalg.solve(np.swapaxes(L, -1, -2), half)[..., 0]
+
+
 def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
     """Solve ``(A + lambda I) x = b`` with A symmetric PSD.
 
@@ -259,14 +269,27 @@ def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
     lam = rel_ridge
     while True:
         try:
-            c_and_low = cho_factor(A + lam * scale * np.eye(p), lower=True)
-            return cho_solve(c_and_low, b)
+            return _cholesky_solve(A + lam * scale * np.eye(p), b)
         except np.linalg.LinAlgError:
             lam = 1e-10 if lam == 0 else lam * 10.0
             if lam > RIDGE_MAX_REL * 1.5:
                 raise SingularSystemError(
                     f"normal equations singular even at relative ridge {RIDGE_MAX_REL}"
                 ) from None
+
+
+def _solve_spd_batch(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
+    """`_solve_spd` over a stack: A (m, p, p) and b (m, p) give x (m, p).
+
+    One batched Cholesky call factors all m systems at the first ridge; only
+    if it fails does each system go through the escalation of `_solve_spd`.
+    """
+    m, p = b.shape
+    scale = np.trace(A, axis1=1, axis2=2) / p
+    try:
+        return _cholesky_solve(A + (rel_ridge * scale)[:, None, None] * np.eye(p), b)
+    except np.linalg.LinAlgError:
+        return np.array([_solve_spd(A[i], b[i], rel_ridge) for i in range(m)])
 
 
 def _pooled_systems(stats: GroupStats, tau: Responsibilities) -> tuple[np.ndarray, np.ndarray]:
@@ -302,10 +325,8 @@ def m_step_beta(
 
     via a symmetric positive-definite factorization.  This equals the normal
     equations of a per-observation least squares problem where every
-    observation of group r carries weight ``tau_rk``.  All K systems are
-    factored in one batched Cholesky call at ``lambda = ridge * trace/p``;
-    only if some system fails there are they solved one by one through the
-    ridge escalation of `_solve_spd`.
+    observation of group r carries weight ``tau_rk``.  All K systems go
+    through `_solve_spd_batch` at ``lambda = ridge * trace/p``.
 
     Raises
     ------
@@ -315,17 +336,7 @@ def m_step_beta(
     SingularSystemError
         If a system stays unfactorizable through the ridge escalation.
     """
-    pooled_sigma, pooled_rho = _pooled_systems(stats, tau)
-    K, p = pooled_rho.shape
-    scale = np.trace(pooled_sigma, axis1=1, axis2=2) / p
-    try:
-        L = np.linalg.cholesky(pooled_sigma + (ridge * scale)[:, None, None] * np.eye(p))
-    except np.linalg.LinAlgError:
-        return np.column_stack(
-            [_solve_spd(pooled_sigma[k], pooled_rho[k], ridge) for k in range(K)]
-        )
-    half = np.linalg.solve(L, pooled_rho[:, :, None])
-    return np.linalg.solve(np.swapaxes(L, 1, 2), half)[:, :, 0].T
+    return _solve_spd_batch(*_pooled_systems(stats, tau), ridge).T
 
 
 def m_step_sigma2(
@@ -448,9 +459,7 @@ def init_responsibilities(
     elif strategy == "kmeans_on_group_coefs":
         if stats is None:
             raise ValueError("kmeans_on_group_coefs requires group stats")
-        coefs = np.empty((R, stats.p))
-        for r in range(R):
-            coefs[r] = _solve_spd(stats.sigma_hat[r], stats.rho_hat[r], GROUP_COEF_RIDGE_REL)
+        coefs = _solve_spd_batch(stats.sigma_hat, stats.rho_hat, GROUP_COEF_RIDGE_REL)
         labels = _kmeans(coefs, K, rng)
     else:
         raise ValueError(f"unknown init strategy {strategy!r}")

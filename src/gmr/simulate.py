@@ -39,7 +39,7 @@ class SimConfig:
     Parameters
     ----------
     n : int
-        Total number of observations across all clusters and groups.
+        Total number of observations, at least one per group (``K * G``).
     K : int
         Number of clusters; needs ``K <= p + 1`` so that K equidistant
         coefficient vectors exist.
@@ -75,7 +75,7 @@ class SimConfig:
                 f"dimension {self.p} (need K <= p + 1)"
             )
         if self.n < self.K * self.G:
-            raise ValueError(f"n={self.n} cannot fill {self.K * self.G} groups")
+            raise TooManyGroupsError(f"n={self.n} cannot fill {self.K * self.G} groups")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         if self.delta_beta < 0:

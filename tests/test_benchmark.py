@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gmr.benchmark
 from gmr import BenchmarkSpec, aggregate, aggregate_columns, iter_records
 
 
@@ -64,6 +65,19 @@ def test_infeasible_cell_recorded_not_fatal():
     good = [r for r in records if r["p"] == 4]
     assert all(r["error"] is not None and r["nmi"] is None for r in bad)
     assert all(r["error"] is None for r in good)
+
+    records = list(iter_records(small_spec(n=[6, 80])))  # 6 rows cannot fill K*G = 8 groups
+    assert [r["error"] is None for r in records] == [False, False, True, True]
+    assert records[0]["error"].startswith("TooManyGroupsError")
+
+
+def test_unexpected_exception_in_replication_propagates(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise TypeError("a bug, not a failed replication")
+
+    monkeypatch.setattr(gmr.benchmark, "fit", broken_fit)
+    with pytest.raises(TypeError, match="a bug"):
+        list(iter_records(small_spec()))
 
 
 def test_aggregate_means_and_failure_counts():

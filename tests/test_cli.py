@@ -73,15 +73,17 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
 
 
 def test_simulate_infeasible_parameters_exit_2(tmp_path, capsys):
-    code = run(
-        [
-            "simulate", "--n", "100", "--K", "4", "--p", "2", "--G", "5",
-            "--sigma", "1", "--delta-beta", "6", "--seed", "0",
-            "--out", str(tmp_path / "x"),
-        ]
-    )
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # K=4 equidistant vectors need p >= 3; n=9 rows cannot fill K*G=10 groups
+    for n, K, p in (("100", "4", "2"), ("9", "2", "2")):
+        code = run(
+            [
+                "simulate", "--n", n, "--K", K, "--p", p, "--G", "5",
+                "--sigma", "1", "--delta-beta", "6", "--seed", "0",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_missing_required_flag_is_usage_error():
@@ -236,6 +238,22 @@ def test_benchmark_records_per_replication_failures(tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert any(r["error"] is not None for r in records)
     assert any(r["error"] is None for r in records)
+
+
+def test_benchmark_bad_em_settings_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "K": 2, "p": 2, "G": 4, "n": 60, "sigma": 1.0,
+                "delta_beta": 8.0, "n_reps": 1, "restarts": 0, "seed": 13,
+            }
+        )
+    )
+    out = tmp_path / "results.jsonl"
+    assert run(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "n_restarts must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_installed_script_entry_point(tmp_path):

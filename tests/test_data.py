@@ -124,17 +124,27 @@ def test_stats_two_point_average():
 
 def test_stats_match_brute_force_loops():
     rng = np.random.default_rng(42)
+    datasets = []
     for _ in range(20):
         n, p = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        y = rng.normal(size=n)
-        X = rng.normal(size=(n, p))
-        s = compute_group_stats(make_dataset([(y, X)]))
-        sig = sum(np.outer(X[i], X[i]) for i in range(n)) / n
-        rho = sum(y[i] * X[i] for i in range(n)) / n
-        assert_allclose(s.sigma_hat[0], sig, atol=1e-12)
-        assert_allclose(s.rho_hat[0], rho, atol=1e-12)
-        assert_allclose(factor_gram(s, 0), moment_block(sig, rho, np.mean(y**2)), atol=1e-12)
-        assert (np.tril(s.factors[0], -1) == 0).all()
+        datasets.append(make_dataset([(rng.normal(size=n), rng.normal(size=(n, p)))]))
+    # Several groups per dataset, sized below, at and above p + 1 (with
+    # repeated sizes), so zero-padded factors and batched QR calls feed the
+    # moments.
+    for p, sizes in ((1, (1, 2, 3, 2, 5)), (3, (1, 2, 4, 7, 2, 4)), (5, (3, 6, 9, 1, 6, 3))):
+        datasets.append(
+            make_dataset([(rng.normal(size=n), rng.normal(size=(n, p))) for n in sizes])
+        )
+    for d in datasets:
+        s = compute_group_stats(d)
+        for r, g in enumerate(d.groups):
+            y, X, n = g.responses, g.features, g.n
+            sig = sum(np.outer(X[i], X[i]) for i in range(n)) / n
+            rho = sum(y[i] * X[i] for i in range(n)) / n
+            assert_allclose(s.sigma_hat[r], sig, atol=1e-12)
+            assert_allclose(s.rho_hat[r], rho, atol=1e-12)
+            assert_allclose(factor_gram(s, r), moment_block(sig, rho, np.mean(y**2)), atol=1e-12)
+            assert (np.tril(s.factors[r], -1) == 0).all()
 
 
 def test_stats_invariant_under_duplication():

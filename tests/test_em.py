@@ -299,6 +299,25 @@ def test_m_step_beta_batched_solve_matches_per_system_ladder(monkeypatch):
     assert len(calls) == 3
 
 
+def test_solve_spd_batch_matches_per_system_ladder(monkeypatch):
+    # The k-means start's per-group systems: 60 groups, many with n_r < p, so
+    # most moment matrices are rank deficient and only the ridge makes them
+    # definite.
+    rng = np.random.default_rng(21)
+    stats = compute_group_stats(random_dataset(rng, R=60, p=4, n_lo=1, n_hi=8))
+    assert (stats.n_r < 4).sum() >= 10
+    ridge = em.GROUP_COEF_RIDGE_REL
+    expected = np.array(
+        [em._solve_spd(stats.sigma_hat[r], stats.rho_hat[r], ridge) for r in range(60)]
+    )
+    calls = []
+    real = em._solve_spd
+    monkeypatch.setattr(em, "_solve_spd", lambda *a: calls.append(a) or real(*a))
+    got = em._solve_spd_batch(stats.sigma_hat, stats.rho_hat, ridge)
+    assert calls == []  # one batched factorization, no ladder
+    assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
 # ------------------------------------------------------------ m_step_sigma2
 
 
@@ -390,6 +409,22 @@ def test_init_kmeans_recovers_separated_partition():
             best_cost, best_assign = cost, assign
     same = (got == best_assign).all() or (got == 1 - best_assign).all()
     assert same
+
+
+def test_init_kmeans_zero_feature_group_raises_through_ladder(monkeypatch):
+    # An all-zero feature group has a zero moment matrix, so the relative
+    # ridge adds nothing: the batched factorization fails, the per-group
+    # ladder escalates in vain and reports the singular system.
+    rng = np.random.default_rng(22)
+    groups = [(rng.normal(size=5), rng.normal(size=(5, 2))) for _ in range(5)]
+    groups.append((rng.normal(size=3), np.zeros((3, 2))))
+    stats = compute_group_stats(make_dataset(groups))
+    calls = []
+    real = em._solve_spd
+    monkeypatch.setattr(em, "_solve_spd", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(SingularSystemError):
+        init_responsibilities(6, 2, strategy="kmeans_on_group_coefs", seed=0, stats=stats)
+    assert len(calls) == 6
 
 
 # -------------------------------------------------------------------- fit

@@ -26,7 +26,7 @@ def test_config_rejects_unembeddable_simplex():
 
 
 def test_config_rejects_too_few_observations():
-    with pytest.raises(ValueError):
+    with pytest.raises(TooManyGroupsError):
         SimConfig(n=5, K=2, p=2, G=3, sigma=1.0, delta_beta=1.0)
 
 
