@@ -176,6 +176,10 @@ class GroupedDataset:
 def validate_dataset(d: GroupedDataset) -> None:
     """Check all dataset invariants, raising on the first violation.
 
+    A dataset is frozen, so once it passes, the pass is remembered on it and
+    later calls return at once.  A failing dataset is checked again on every
+    call and raises the same error each time.
+
     Raises
     ------
     EmptyGroupError
@@ -187,6 +191,8 @@ def validate_dataset(d: GroupedDataset) -> None:
     DuplicateGroupIdError
         If two groups share an id.
     """
+    if getattr(d, "_valid", False):
+        return
     if d.R == 0:
         raise EmptyGroupError("dataset has no groups")
     p = d.p
@@ -205,6 +211,7 @@ def validate_dataset(d: GroupedDataset) -> None:
             )
         if not np.isfinite(g.responses).all() or not np.isfinite(g.features).all():
             raise NonFiniteError(f"group {g.id!r} contains NaN or infinite values")
+    object.__setattr__(d, "_valid", True)
 
 
 @dataclass(frozen=True)

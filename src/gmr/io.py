@@ -3,12 +3,28 @@
 All writers produce byte-stable output for identical inputs: fixed column
 orders, insertion-ordered JSON objects, shortest round-trip float formatting
 and a bare ``\\n`` line terminator.
+
+Dataset and prediction CSVs go through one bulk codec.  A reader checks the
+header with `csv`, parses all data rows in one `numpy.loadtxt` call (ids
+quoted as RFC 4180 says, blank lines skipped, every row exactly as wide as
+the header) and slices the groups out of the one parsed array.  Where that
+call raises, or where numpy's float parser would accept a cell that
+``float()`` rejects, the file takes the cold path instead: the cell-by-cell
+`csv.reader` loop that defines the format.  It accepts what ``float()``
+accepts and raises the `FormatError` naming the first offending
+``file:line``, where lines count CSV records and the header is line 1.  So
+both paths accept the same files and read the same values.  A writer formats
+each run of rows with one ``repr`` of its nested list, so every float is
+written as the shortest round-trip ``float.__repr__``, and it quotes ids
+exactly as `csv.writer` does.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +48,11 @@ __all__ = [
     "write_truth_json",
 ]
 
+_PREDICTION_COLUMNS = ["group", "y_true", "y_pred", "log_density", "used_fallback"]
+
+# Whitespace that numpy's float parser strips from a cell and ``float()`` does not.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
 
 class FormatError(GmrError, ValueError):
     """A file does not match the expected format."""
@@ -44,34 +65,93 @@ def _float(text: str, where: str) -> float:
         raise FormatError(f"{where}: {text!r} is not a number") from None
 
 
+def _bulk_rows(fh, fields):
+    """Parse the rest of ``fh`` in one C-level call; None leaves it to the cold path."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+            return np.loadtxt(
+                _checked_lines(fh), dtype=np.dtype(fields), delimiter=",",
+                comments=None, quotechar='"', ndmin=1,
+            )
+    except ValueError:  # also a UnicodeDecodeError, which the cold path re-raises
+        return None
+
+
+def _checked_lines(fh):
+    """Yield the lines of ``fh``; raise ValueError at whitespace only numpy's parser strips."""
+    for line in fh:
+        if any(c in line for c in _LOADTXT_ONLY_SPACE):
+            raise ValueError("a cell float() may reject")
+        yield line
+
+
+def _cold_records(path: Path):
+    """Yield ``(line, row)`` for each non-blank record after the header, via `csv`."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                yield lineno, row
+
+
+def _check_width(path: Path, lineno: int, row: list[str], width: int) -> None:
+    if len(row) != width:
+        raise FormatError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+
+
+def _grouped(ids: np.ndarray, values: np.ndarray) -> GroupedDataset:
+    """Rows ``[y, x...]`` grouped by id: groups by first appearance, rows in file order."""
+    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    group_of_row = position[inverse]
+    rows = values[np.argsort(group_of_row, kind="stable")]
+    blocks = np.split(rows, np.cumsum(np.bincount(group_of_row, minlength=order.size))[:-1])
+    return GroupedDataset(
+        tuple(
+            Group(id=gid, responses=block[:, 0], features=block[:, 1:])
+            for gid, block in zip(unique[order].tolist(), blocks)
+        )
+    )
+
+
 def read_dataset_csv(path) -> GroupedDataset:
     """Read a ``group,y,x1,...,xp`` CSV; groups ordered by first appearance."""
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or len(header) < 3 or header[0] != "group" or header[1] != "y":
             raise FormatError(
                 f"{path}: expected header 'group,y,x1,...,xp', got {header!r}"
             )
-        p = len(header) - 2
-        rows_by_group: dict[str, list[list[float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 2:
-                raise FormatError(f"{path}:{lineno}: expected {p + 2} columns, got {len(row)}")
-            values = [_float(cell, f"{path}:{lineno}") for cell in row[1:]]
-            rows_by_group.setdefault(row[0], []).append(values)
-    groups = tuple(
-        Group(
-            id=gid,
-            responses=np.array(rows)[:, 0],
-            features=np.array(rows)[:, 1:],
-        )
-        for gid, rows in rows_by_group.items()
-    )
-    return GroupedDataset(groups)
+        width = len(header)
+        table = _bulk_rows(fh, [("group", object), ("values", float, (width - 1,))])
+    if table is not None:
+        return _grouped(table["group"], table["values"])
+    ids, values = [], []
+    for lineno, row in _cold_records(path):
+        _check_width(path, lineno, row, width)
+        values.append([_float(cell, f"{path}:{lineno}") for cell in row[1:]])
+        ids.append(row[0])
+    return _grouped(np.array(ids, dtype=object), np.array(values).reshape(-1, width - 1))
+
+
+def _csv_field(value) -> str:
+    """``value`` as `csv.writer` writes it as one cell of a longer row."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv_lines(prefix: str, values, suffix: str) -> str:
+    """One line ``prefix + ",".join(map(repr, row)) + suffix`` per row of ``values``."""
+    if not len(values):
+        return ""
+    cells = repr(np.asarray(values, dtype=float).tolist())[2:-2].replace(", ", ",")
+    return prefix + cells.replace("],[", f"{suffix}\n{prefix}") + suffix + "\n"
 
 
 def write_dataset_csv(d: GroupedDataset, path) -> None:
@@ -80,8 +160,8 @@ def write_dataset_csv(d: GroupedDataset, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["group", "y"] + [f"x{j + 1}" for j in range(d.p)])
         for g in d.groups:
-            for y, x in zip(g.responses, g.features):
-                writer.writerow([g.id, repr(float(y))] + [repr(float(v)) for v in x])
+            rows = np.column_stack([g.responses, g.features])
+            fh.write(_csv_lines(_csv_field(g.id) + ",", rows, ""))
 
 
 def write_model_json(result: FitResult, path) -> None:
@@ -177,42 +257,54 @@ def read_truth_json(path) -> tuple[GroundTruth, SimConfig]:
 
 def write_predictions_csv(preds: GroupPredictions, path) -> None:
     path = Path(path)
+    group = np.array(preds.group, dtype=object)
+    fallback = np.asarray(preds.used_fallback)
+    values = np.column_stack([preds.y_true, preds.y_pred, preds.log_density])
+    # One block of lines per run of rows that share a group and a fallback flag.
+    new_run = (group[1:] != group[:-1]) | (fallback[1:] != fallback[:-1])
+    bounds = [0, *(np.flatnonzero(new_run) + 1).tolist(), len(group)] if len(group) else []
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "y_true", "y_pred", "log_density", "used_fallback"])
-        for gid, yt, yp, ld, fb in zip(
-            preds.group, preds.y_true, preds.y_pred, preds.log_density, preds.used_fallback
-        ):
-            writer.writerow([gid, repr(float(yt)), repr(float(yp)), repr(float(ld)), int(fb)])
+        csv.writer(fh, lineterminator="\n").writerow(_PREDICTION_COLUMNS)
+        for start, stop in zip(bounds, bounds[1:]):
+            prefix = _csv_field(group[start]) + ","
+            fh.write(_csv_lines(prefix, values[start:stop], f",{int(fallback[start])}"))
+
+
+def _prediction_columns(group, values, used_fallback) -> dict[str, np.ndarray]:
+    y_true, y_pred, log_density = np.array(values.T)
+    return {
+        "group": group,
+        "y_true": y_true,
+        "y_pred": y_pred,
+        "log_density": log_density,
+        "used_fallback": np.array(used_fallback, dtype=bool),
+    }
 
 
 def read_predictions_csv(path) -> dict[str, np.ndarray]:
     """Read a predictions CSV back into column arrays."""
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["group", "y_true", "y_pred", "log_density", "used_fallback"]
-        if header != expected:
-            raise FormatError(f"{path}: expected header {expected}, got {header!r}")
-        cols: dict[str, list] = {name: [] for name in expected}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise FormatError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-            cols["group"].append(row[0])
-            cols["y_true"].append(_float(row[1], f"{path}:{lineno}"))
-            cols["y_pred"].append(_float(row[2], f"{path}:{lineno}"))
-            cols["log_density"].append(_float(row[3], f"{path}:{lineno}"))
-            cols["used_fallback"].append(bool(int(row[4])))
-    return {
-        "group": np.array(cols["group"], dtype=object),
-        "y_true": np.array(cols["y_true"]),
-        "y_pred": np.array(cols["y_pred"]),
-        "log_density": np.array(cols["log_density"]),
-        "used_fallback": np.array(cols["used_fallback"], dtype=bool),
-    }
+        header = next(csv.reader(fh), None)
+        if header != _PREDICTION_COLUMNS:
+            raise FormatError(f"{path}: expected header {_PREDICTION_COLUMNS}, got {header!r}")
+        table = _bulk_rows(
+            fh, [("group", object), ("values", float, (3,)), ("used_fallback", object)]
+        )
+    if table is not None:
+        flags = table["used_fallback"]
+        used_fallback = flags == "1"
+        if (used_fallback | (flags == "0")).all():  # ``int()`` reads other spellings below
+            return _prediction_columns(table["group"].copy(), table["values"], used_fallback)
+    group, values, used_fallback = [], [], []
+    for lineno, row in _cold_records(path):
+        _check_width(path, lineno, row, 5)
+        group.append(row[0])
+        values.append([_float(cell, f"{path}:{lineno}") for cell in row[1:4]])
+        used_fallback.append(bool(int(row[4])))
+    return _prediction_columns(
+        np.array(group, dtype=object), np.array(values).reshape(-1, 3), used_fallback
+    )
 
 
 def write_selection_report(report: SelectionReport, json_path, csv_path) -> None:

@@ -1,10 +1,13 @@
 """Command line interface, exercised in-process through main()."""
 
+import hashlib
 import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
+import scipy
 
 from gmr.cli import main
 
@@ -268,3 +271,35 @@ def test_installed_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "R=10" in proc.stdout
+
+
+# sha256 of the files the pipeline below writes, pinned under numpy 2.4.6 and
+# scipy 1.17.1 when each CSV was still written cell by cell.
+PIPELINE_DIGESTS = {
+    "dataset.csv": "e92dff777262f439ed19215cea3b44757152de1c04446d54faaec5210d802506",
+    "train.csv": "36028d537fc3dfb1aa70a1abc85cbb850fbef2c696163fcee978ad2d7ab40486",
+    "test.csv": "4470791bd72f197cce0c85457ac7ba3b438dd7e1e8c821e167929043f0adce21",
+    "preds.csv": "fc0f93a8d34cd21c42a48f949a828538d9a6a3514b5cd5277e576e65c2565438",
+}
+
+
+def test_simulate_and_predict_outputs_match_pinned_digests(tmp_path):
+    sim = tmp_path / "sim"
+    assert run(
+        [
+            "simulate", "--n", "240", "--K", "2", "--p", "3", "--G", "6", "--sigma", "1.5",
+            "--delta-beta", "6", "--seed", "11", "--split", "0.25", "--out", str(sim),
+        ]
+    ) == 0
+    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+    assert run(["fit", "--data", str(sim / "train.csv"), "--K", "2", "--seed", "1",
+                "--out", str(model)]) == 0
+    assert run(["predict", "--model", str(model), "--data", str(sim / "test.csv"),
+                "--out", str(preds)]) == 0
+    paths = {"dataset.csv": sim / "dataset.csv", "train.csv": sim / "train.csv",
+             "test.csv": sim / "test.csv", "preds.csv": preds}
+    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+    assert digests == PIPELINE_DIGESTS, (
+        f"outputs differ under numpy {np.__version__} and scipy {scipy.__version__}; "
+        "the digests were pinned under numpy 2.4.6 and scipy 1.17.1"
+    )

@@ -67,6 +67,46 @@ def test_validate_rejects_duplicate_ids():
         validate_dataset(d)
 
 
+class _IdCountingGroup(Group):
+    """A group that counts reads of its id: the duplicate-id check reads each once per pass."""
+
+    id_reads = 0
+
+    def __getattribute__(self, name):
+        if name == "id":
+            type(self).id_reads += 1
+        return super().__getattribute__(name)
+
+
+def test_validation_runs_once_per_dataset_and_failures_repeat():
+    from gmr import EmConfig, fit
+
+    rng = np.random.default_rng(0)
+    groups = tuple(
+        _IdCountingGroup(f"g{r}", rng.normal(size=6), rng.normal(size=(6, 2))) for r in range(8)
+    )
+    d = GroupedDataset(groups)
+    _IdCountingGroup.id_reads = 0
+    validate_dataset(d)
+    assert _IdCountingGroup.id_reads >= d.R  # one pass over the groups
+    d.group_ids  # cached on first use, as fit's result needs it
+    _IdCountingGroup.id_reads = 0
+    for _ in range(3):
+        validate_dataset(d)
+        compute_group_stats(d)
+        fit(d, EmConfig(K=2, n_restarts=1, seed=1))
+    assert _IdCountingGroup.id_reads == 0
+
+    bad = GroupedDataset(
+        groups[:3] + (Group("nan", [1.0, np.nan], [[1.0, 2.0], [3.0, 4.0]]), groups[0])
+    )
+    for _ in range(3):
+        with pytest.raises(NonFiniteError, match=r"^group 'nan' contains NaN or infinite values$"):
+            compute_group_stats(bad)
+    with pytest.raises(NonFiniteError):
+        validate_dataset(bad)
+
+
 def test_group_rejects_row_count_mismatch():
     with pytest.raises(DimensionMismatchError):
         Group("g", [1.0, 2.0], [[1.0]])

@@ -1,11 +1,13 @@
 """File formats: dataset CSV, model JSON, truth JSON, predictions CSV, reports."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gmr.io
 from gmr import EmConfig, SimConfig, fit, generate, predict_groups, select_k
 from gmr.io import (
     FormatError,
@@ -174,3 +176,259 @@ def test_float_repr_precision_survives_round_trip(tmp_path):
     back = read_dataset_csv(path)
     assert back.groups[0].responses[0] == value
     assert back.groups[0].features[0, 0] == np.pi
+
+
+# The CSV contract: quoting, blank lines, float spellings and every error, on
+# inputs that generated files never contain.
+
+ODD_IDS = ["", "a,b", 'q"r', "#x", " lead", "é", "a\nb"]
+PRED_HEADER = "group,y_true,y_pred,log_density,used_fallback\n"
+
+
+def _csv_file(tmp_path, text, name="data.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode())  # exact bytes: no newline translation
+    return path
+
+
+def _same_float(got, want):
+    return float(got).hex() == want.hex()  # tells -0.0 from 0.0; every nan is "nan"
+
+
+def test_dataset_read_odd_ids(tmp_path):
+    path = _csv_file(
+        tmp_path,
+        'group,y,x1\n,1,2\n"a,b",3,4\n"q""r",5,6\n#x,7,8\n lead,9,10\n'
+        'é,11,12\n"a\nb",13,14\n,15,16\n',
+    )
+    d = read_dataset_csv(path)
+    assert d.group_ids == tuple(ODD_IDS)
+    assert [g.responses.tolist() for g in d.groups] == [
+        [1.0, 15.0], [3.0], [5.0], [7.0], [9.0], [11.0], [13.0]
+    ]
+    assert d.groups[0].features.tolist() == [[2.0], [16.0]]
+    assert d.groups[6].features.tolist() == [[14.0]]
+
+
+def test_dataset_read_keeps_file_order_within_interleaved_groups(tmp_path):
+    rng = np.random.default_rng(4)
+    ids = [f"g{k}" for k in rng.integers(0, 7, size=400)]
+    rows = {}
+    lines = ["group,y,x1"]
+    for i, gid in enumerate(ids):
+        rows.setdefault(gid, []).append(float(i))
+        lines.append(f"{gid},{i},{-i}")
+    d = read_dataset_csv(_csv_file(tmp_path, "\n".join(lines) + "\n"))
+    assert d.group_ids == tuple(rows)
+    assert [g.responses.tolist() for g in d.groups] == list(rows.values())
+    assert [(-g.features[:, 0]).tolist() for g in d.groups] == list(rows.values())
+
+def test_dataset_read_skips_blank_lines_and_reads_crlf(tmp_path):
+    lf = _csv_file(tmp_path, "group,y,x1\n\na,1,2\n\n\nb,3,4\n\n", "lf.csv")
+    crlf = _csv_file(tmp_path, "group,y,x1\r\na,1,2\r\n\r\nb,3,4\r\n", "crlf.csv")
+    for path in (lf, crlf):
+        d = read_dataset_csv(path)
+        assert d.group_ids == ("a", "b")
+        assert d.stacked[0].tolist() == [1.0, 3.0]
+        assert d.stacked[1].tolist() == [[2.0], [4.0]]
+
+
+def test_dataset_read_header_only_gives_no_groups(tmp_path):
+    assert read_dataset_csv(_csv_file(tmp_path, "group,y,x1\n\n")).R == 0
+
+
+@pytest.mark.parametrize(
+    "cell", ["1_0", " 1.5", "1e500", "١", '"2.5"', "-0.0", "5e-324", "-inf", "nan", "1.5\t"]
+)
+def test_dataset_read_cells_parse_as_float_does(tmp_path, cell):
+    path = _csv_file(tmp_path, f"group,y,x1\na,0,{cell}\n")
+    want = float(cell.strip('"'))
+    assert _same_float(read_dataset_csv(path).groups[0].features[0, 0], want)
+
+
+@pytest.mark.parametrize(
+    "line, got", [("a,1,2,3", 4), ("a,1", 2), (" ", 1), ("\t", 1), ('""', 1), (",", 2)]
+)
+def test_dataset_read_wrong_width_names_file_line_and_counts(tmp_path, line, got):
+    path = _csv_file(tmp_path, f"group,y,x1\na,1,2\n\n{line}\nb,3,4\n")
+    with pytest.raises(FormatError) as exc:
+        read_dataset_csv(path)
+    assert str(exc.value) == f"{path}:4: expected 3 columns, got {got}"
+
+
+@pytest.mark.parametrize("cell", ["oops", "", "0x10", "1 2", "1\x1c", "nan(1)", "1e"])
+def test_dataset_read_non_number_names_line_and_cell(tmp_path, cell):
+    path = _csv_file(tmp_path, f"group,y,x1\na,1,2\nb,3,{cell}\n")
+    with pytest.raises(FormatError) as exc:
+        read_dataset_csv(path)
+    assert str(exc.value) == f"{path}:3: {cell!r} is not a number"
+
+
+def test_dataset_read_reports_the_first_offending_line(tmp_path):
+    path = _csv_file(tmp_path, "group,y,x1\na,1,2\nb,x,2\nc,1\n")
+    with pytest.raises(FormatError, match=r":3: 'x' is not a number$"):
+        read_dataset_csv(path)
+    path = _csv_file(tmp_path, "group,y,x1\na,1,2\nc,1\nb,x,2\n")
+    with pytest.raises(FormatError, match=r":3: expected 3 columns, got 2$"):
+        read_dataset_csv(path)
+
+
+def test_predictions_read_contract(tmp_path):
+    path = _csv_file(
+        tmp_path,
+        PRED_HEADER + '"a,b",1,2,-3,0\n\n#x, 1.5,1_0,-inf,1\r\n"q""r",1e500,-0.0,5e-324, 1\n',
+    )
+    cols = read_predictions_csv(path)
+    assert cols["group"].tolist() == ["a,b", "#x", 'q"r']
+    assert cols["y_true"].tolist() == [1.0, 1.5, float("inf")]
+    assert cols["y_pred"].tolist() == [2.0, 10.0, -0.0]
+    assert np.signbit(cols["y_pred"][2])
+    assert cols["log_density"].tolist() == [-3.0, -np.inf, 5e-324]
+    assert cols["used_fallback"].tolist() == [False, True, True]
+
+
+def test_predictions_read_errors(tmp_path):
+    path = _csv_file(tmp_path, "group,y_true,y_pred,log_density\n")
+    with pytest.raises(FormatError) as exc:
+        read_predictions_csv(path)
+    assert str(exc.value) == (
+        f"{path}: expected header ['group', 'y_true', 'y_pred', 'log_density', "
+        "'used_fallback'], got ['group', 'y_true', 'y_pred', 'log_density']"
+    )
+    for line, got in (("a,1,2,3,0,0", 6), ("a,1,2,3", 4), (" ", 1)):
+        path = _csv_file(tmp_path, PRED_HEADER + f"a,1,2,3,0\n{line}\n")
+        with pytest.raises(FormatError) as exc:
+            read_predictions_csv(path)
+        assert str(exc.value) == f"{path}:3: expected 5 columns, got {got}"
+    path = _csv_file(tmp_path, PRED_HEADER + "a,1,oops,3,0\n")
+    with pytest.raises(FormatError) as exc:
+        read_predictions_csv(path)
+    assert str(exc.value) == f"{path}:2: 'oops' is not a number"
+    path = _csv_file(tmp_path, PRED_HEADER + "a,1,2,3,yes\n")
+    with pytest.raises(ValueError):
+        read_predictions_csv(path)
+
+
+# Written by the cell-by-cell csv.writer loop that preceded the bulk writer.
+GOLDEN_DATASET = (
+    b"group,y,x1,x2\n"
+    b",-0.0,5e-324,1e+300\n"
+    b",5e-324,1e+300,0.30000000000000004\n"
+    b'"a,b",5e-324,1e+300,0.30000000000000004\n'
+    b'"a,b",1e+300,0.30000000000000004,-0.0\n'
+    b'"q""r",1e+300,0.30000000000000004,-0.0\n'
+    b'"q""r",0.30000000000000004,-0.0,5e-324\n'
+    b"#x,0.30000000000000004,-0.0,5e-324\n"
+    b"#x,-0.0,5e-324,1e+300\n"
+    b" lead,-0.0,5e-324,1e+300\n"
+    b" lead,5e-324,1e+300,0.30000000000000004\n"
+    b"\xc3\xa9,5e-324,1e+300,0.30000000000000004\n"
+    b"\xc3\xa9,1e+300,0.30000000000000004,-0.0\n"
+    b'"a\nb",1e+300,0.30000000000000004,-0.0\n'
+    b'"a\nb",0.30000000000000004,-0.0,5e-324\n'
+)
+GOLDEN_PREDICTIONS = (
+    b"group,y_true,y_pred,log_density,used_fallback\n"
+    b'"a,b",-0.0,5e-324,1e+300,0\n'
+    b'"a,b",0.30000000000000004,-1.5,-inf,1\n'
+    b",1e+300,0.30000000000000004,nan,1\n"
+    b'"q""r",5e-324,-0.0,2.0,0\n'
+    b"#x,1.0,1.0,1.0,0\n"
+    b"#x,-2.0,3.0,-4.0,0\n"
+)
+
+
+def test_writers_golden_bytes(tmp_path):
+    from gmr import Group, GroupedDataset
+    from gmr.predict import GroupPredictions
+
+    values = [-0.0, 5e-324, 1e300, 0.1 + 0.2]
+    groups = []
+    for i, gid in enumerate(ODD_IDS):
+        rows = [[values[(i + j + c) % 4] for c in range(3)] for j in range(2)]
+        groups.append(Group(gid, [r[0] for r in rows], [r[1:] for r in rows]))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(GroupedDataset(tuple(groups)), path)
+    assert path.read_bytes() == GOLDEN_DATASET
+    back = read_dataset_csv(path)
+    assert back.group_ids == tuple(ODD_IDS)
+    for g, h in zip(groups, back.groups):
+        assert np.array_equal(g.responses, h.responses)
+        assert np.array_equal(np.signbit(g.responses), np.signbit(h.responses))
+        assert np.array_equal(g.features, h.features)
+
+    preds = GroupPredictions(
+        group=("a,b", "a,b", "", 'q"r', "#x", "#x"),
+        y_true=np.array([-0.0, 0.1 + 0.2, 1e300, 5e-324, 1.0, -2.0]),
+        y_pred=np.array([5e-324, -1.5, 0.1 + 0.2, -0.0, 1.0, 3.0]),
+        log_density=np.array([1e300, -np.inf, np.nan, 2.0, 1.0, -4.0]),
+        used_fallback=np.array([False, True, True, False, False, False]),
+    )
+    path = tmp_path / "preds.csv"
+    write_predictions_csv(preds, path)
+    assert path.read_bytes() == GOLDEN_PREDICTIONS
+    cols = read_predictions_csv(path)
+    assert cols["group"].tolist() == list(preds.group)
+    assert cols["used_fallback"].tolist() == preds.used_fallback.tolist()
+
+
+def test_writers_write_nothing_for_empty_blocks(tmp_path):
+    from gmr import Group, GroupedDataset
+    from gmr.predict import GroupPredictions
+
+    d = GroupedDataset((Group("a", [], np.empty((0, 1))), Group("b", [1.0], [[2.0]])))
+    write_dataset_csv(d, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == b"group,y,x1\nb,1.0,2.0\n"
+    none = np.array([])
+    preds = GroupPredictions((), none, none, none, np.array([], dtype=bool))
+    write_predictions_csv(preds, tmp_path / "preds.csv")
+    assert (tmp_path / "preds.csv").read_bytes() == PRED_HEADER.encode()
+    cols = read_predictions_csv(tmp_path / "preds.csv")
+    assert all(len(col) == 0 for col in cols.values())
+
+def _read_outcome(read, path):
+    try:
+        result = read(path)
+    except Exception as exc:  # the outcome compared is the error itself
+        return type(exc), str(exc)
+    if isinstance(result, dict):
+        return [(k, v.dtype.str, v.tolist() if v.dtype == object else v.tobytes())
+                for k, v in result.items()]
+    return [(g.id, g.responses.tobytes(), g.features.tobytes(), g.features.shape)
+            for g in result.groups]
+
+
+def test_bulk_parse_agrees_with_cell_by_cell_parse_on_mangled_files(tmp_path, monkeypatch):
+    # Each file is read through the bulk codec and again with the bulk parse
+    # switched off, so the cell-by-cell loop reads it alone.
+    pieces = [",", ",", '"', "\n", "\r", "\r\n", " ", "\t", "#", "_", "١", "é", "\x1c",
+              "\x00", "\x85", "\u3000", "inf", "nan", "e", ".", "-", "1", "a"]
+    rng = random.Random(20261018)
+    real_bulk_rows, parsed = gmr.io._bulk_rows, []
+
+    def spy(fh, fields):
+        table = real_bulk_rows(fh, fields)
+        parsed.append(table is not None)
+        return table
+
+    for i in range(600):
+        dataset = i % 2 == 0
+        read = read_dataset_csv if dataset else read_predictions_csv
+        width = 3 if dataset else 5
+        lines = []
+        for _ in range(rng.randint(0, 4)):
+            cells = [rng.choice(["a", "", "b1"])] + [rng.choice(["1", "-2.5", "1e3"])
+                                                     for _ in range(width - 2)]
+            line = ",".join(cells + [rng.choice(["0", "1"])])
+            for _ in range(rng.randint(0, 2)):
+                at = rng.randint(0, len(line))
+                line = line[:at] + rng.choice(pieces) + line[at + rng.randint(0, 1):]
+            lines.append(line + rng.choice(["\n", "\r\n", ""]))
+        header = "group,y,x1\n" if dataset else PRED_HEADER
+        path = _csv_file(tmp_path, header + "".join(lines), f"f{i}.csv")
+        with monkeypatch.context() as m:
+            m.setattr(gmr.io, "_bulk_rows", spy)
+            bulk = _read_outcome(read, path)
+            m.setattr(gmr.io, "_bulk_rows", lambda fh, fields: None)
+            assert _read_outcome(read, path) == bulk, repr(path.read_text())
+    assert sum(parsed) > 150  # the bulk parse took many of the files
