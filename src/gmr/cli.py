@@ -32,7 +32,7 @@ from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
 from .predict import predict_groups
 from .select import select_k
-from .simulate import SimConfig, generate, train_test_split
+from .simulate import SimConfig, _test_rows, generate
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -112,6 +112,15 @@ def _parse_k_grid(text: str) -> list[int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Draw a dataset and write ``dataset.csv`` and ``truth.json`` to ``--out``.
+
+    With ``--split`` the held-out rows are drawn first, as `train_test_split`
+    draws them, so a bad fraction or a group too small to split fails before
+    any file is written.  One pass then formats each group's rows once and
+    writes every line to ``dataset.csv`` and to ``train.csv`` or ``test.csv``;
+    the files hold the same bytes as writing the dataset and both halves of
+    the split one by one.
+    """
     fields = {
         "n": "n",
         "K": "K",
@@ -128,19 +137,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
     data, truth = generate(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    io.write_dataset_csv(data, out / "dataset.csv")
-    io.write_truth_json(truth, cfg, out / "truth.json")
-    written = ["dataset.csv", "truth.json"]
+    test_rows = None
     if args.split is not None:
         try:
-            train, test = train_test_split(data, args.split, seed=cfg.seed)
+            test_rows = _test_rows(data, args.split, seed=cfg.seed)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        io.write_dataset_csv(train, out / "train.csv")
-        io.write_dataset_csv(test, out / "test.csv")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    written = ["dataset.csv", "truth.json"]
+    if test_rows is None:
+        io.write_dataset_csv(data, out / "dataset.csv")
+    else:
+        io._write_split_dataset_csvs(
+            data, test_rows, out / "dataset.csv", out / "train.csv", out / "test.csv"
+        )
         written += ["train.csv", "test.csv"]
+    io.write_truth_json(truth, cfg, out / "truth.json")
     print(
         f"R={data.R} groups; sizes: {_size_summary(data.n_r)}; "
         f"wrote {', '.join(written)} in {out}"

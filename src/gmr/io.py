@@ -15,8 +15,13 @@ accepts and raises the `FormatError` naming the first offending
 ``file:line``, where lines count CSV records and the header is line 1.  So
 both paths accept the same files and read the same values.  A writer formats
 each run of rows with one ``repr`` of its nested list, so every float is
-written as the shortest round-trip ``float.__repr__``, and it quotes ids
-exactly as `csv.writer` does.
+written as the shortest round-trip ``float.__repr__``, and it quotes ids as
+`csv.writer` does, with a bare ``\\r`` quoted too.
+
+``simulate --split`` writes the dataset and both halves of its split in one
+pass: each group's rows are formatted once, by the formatter
+`write_dataset_csv` uses, and each line goes to the dataset file and to the
+train or the test file.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import csv
 import json
 import warnings
 from io import StringIO
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +69,13 @@ def _float(text: str, where: str) -> float:
         return float(text)
     except ValueError:
         raise FormatError(f"{where}: {text!r} is not a number") from None
+
+
+def _flag(text: str, where: str) -> bool:
+    try:
+        return bool(int(text))
+    except ValueError:
+        raise FormatError(f"{where}: {text!r} is not an integer") from None
 
 
 def _bulk_rows(fh, fields):
@@ -140,28 +153,61 @@ def read_dataset_csv(path) -> GroupedDataset:
 
 
 def _csv_field(value) -> str:
-    """``value`` as `csv.writer` writes it as one cell of a longer row."""
+    """``value`` as `csv.writer` writes it as one cell of a longer row.
+
+    The ``\\r\\n`` terminator makes it quote a bare ``\\r`` as well as ``\\n``,
+    so that every id reads back as one field.
+    """
     buf = StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])
+    return buf.getvalue().removesuffix(",\r\n")
 
 
-def _csv_lines(prefix: str, values, suffix: str) -> str:
-    """One line ``prefix + ",".join(map(repr, row)) + suffix`` per row of ``values``."""
+def _csv_lines(prefix: str, values, suffix: str) -> list[str]:
+    """One line ``prefix + ",".join(map(repr, row)) + suffix + "\\n"`` per row of ``values``."""
     if not len(values):
-        return ""
+        return []
     cells = repr(np.asarray(values, dtype=float).tolist())[2:-2].replace(", ", ",")
-    return prefix + cells.replace("],[", f"{suffix}\n{prefix}") + suffix + "\n"
+    return [f"{prefix}{row}{suffix}\n" for row in cells.split("],[")]
+
+
+def _dataset_header(p: int) -> str:
+    return ",".join(["group", "y"] + [f"x{j + 1}" for j in range(p)]) + "\n"
+
+
+def _dataset_lines(g: Group) -> list[str]:
+    return _csv_lines(_csv_field(g.id) + ",", np.column_stack([g.responses, g.features]), "")
 
 
 def write_dataset_csv(d: GroupedDataset, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "y"] + [f"x{j + 1}" for j in range(d.p)])
+    with Path(path).open("w", newline="") as fh:
+        fh.write(_dataset_header(d.p))
         for g in d.groups:
-            rows = np.column_stack([g.responses, g.features])
-            fh.write(_csv_lines(_csv_field(g.id) + ",", rows, ""))
+            fh.write("".join(_dataset_lines(g)))
+
+
+def _write_split_dataset_csvs(
+    d: GroupedDataset, test_rows: np.ndarray, dataset_path, train_path, test_path
+) -> None:
+    """Write ``d`` and its train/test halves, formatting each group's rows once.
+
+    ``test_rows`` marks the held-out rows in dataset row order.  Each line
+    goes to ``dataset_path`` and to ``test_path`` or ``train_path``, so the
+    three files hold the bytes `write_dataset_csv` writes for ``d`` and for
+    the two halves of `train_test_split`.
+    """
+    with (
+        Path(dataset_path).open("w", newline="") as full,
+        Path(train_path).open("w", newline="") as train,
+        Path(test_path).open("w", newline="") as test,
+    ):
+        for fh in (full, train, test):
+            fh.write(_dataset_header(d.p))
+        for g, held in zip(d.groups, np.split(test_rows, np.cumsum(d.n_r)[:-1])):
+            lines = _dataset_lines(g)
+            full.write("".join(lines))
+            train.write("".join(compress(lines, ~held)))
+            test.write("".join(compress(lines, held)))
 
 
 def write_model_json(result: FitResult, path) -> None:
@@ -267,7 +313,7 @@ def write_predictions_csv(preds: GroupPredictions, path) -> None:
         csv.writer(fh, lineterminator="\n").writerow(_PREDICTION_COLUMNS)
         for start, stop in zip(bounds, bounds[1:]):
             prefix = _csv_field(group[start]) + ","
-            fh.write(_csv_lines(prefix, values[start:stop], f",{int(fallback[start])}"))
+            fh.write("".join(_csv_lines(prefix, values[start:stop], f",{int(fallback[start])}")))
 
 
 def _prediction_columns(group, values, used_fallback) -> dict[str, np.ndarray]:
@@ -301,7 +347,7 @@ def read_predictions_csv(path) -> dict[str, np.ndarray]:
         _check_width(path, lineno, row, 5)
         group.append(row[0])
         values.append([_float(cell, f"{path}:{lineno}") for cell in row[1:4]])
-        used_fallback.append(bool(int(row[4])))
+        used_fallback.append(_flag(row[4], f"{path}:{lineno}"))
     return _prediction_columns(
         np.array(group, dtype=object), np.array(values).reshape(-1, 3), used_fallback
     )

@@ -206,14 +206,11 @@ def generate(cfg: SimConfig) -> tuple[GroupedDataset, GroundTruth]:
     return GroupedDataset(tuple(groups)), truth
 
 
-def train_test_split(
-    d: GroupedDataset, test_frac: float, seed=None
-) -> tuple[GroupedDataset, GroupedDataset]:
-    """Hold out a fraction of each group, uniformly without replacement.
+def _test_rows(d: GroupedDataset, test_frac: float, seed=None) -> NDArray[np.bool_]:
+    """The rows `train_test_split` holds out, as a mask in dataset row order.
 
-    The per-group test size is ``round(test_frac * n_r)`` clamped to
-    ``[1, n_r - 1]``, so both halves keep every group id (in the original
-    order).  Requires every group to have at least 2 observations.
+    Each group in turn draws ``rng.permutation(n_r)`` and holds out its first
+    ``round(test_frac * n_r)`` entries, clamped to ``[1, n_r - 1]``.
     """
     if not 0.0 < test_frac < 1.0:
         raise ValueError(f"test_frac must lie strictly between 0 and 1, got {test_frac}")
@@ -223,14 +220,29 @@ def train_test_split(
             f"groups too small to split: {', '.join(map(repr, too_small[:5]))}"
         )
     rng = np.random.default_rng(seed)
+    held = np.zeros(d.n, dtype=bool)
+    start = 0
+    for g in d.groups:
+        m = min(max(int(round(test_frac * g.n)), 1), g.n - 1)
+        held[start + rng.permutation(g.n)[:m]] = True
+        start += g.n
+    return held
+
+
+def train_test_split(
+    d: GroupedDataset, test_frac: float, seed=None
+) -> tuple[GroupedDataset, GroupedDataset]:
+    """Hold out a fraction of each group, uniformly without replacement.
+
+    The per-group test size is ``round(test_frac * n_r)`` clamped to
+    ``[1, n_r - 1]``, so both halves keep every group id (in the original
+    order) and every group's rows in their original order.  Requires every
+    group to have at least 2 observations.
+    """
+    held = _test_rows(d, test_frac, seed)
     train_groups: list[Group] = []
     test_groups: list[Group] = []
-    for g in d.groups:
-        m = int(round(test_frac * g.n))
-        m = min(max(m, 1), g.n - 1)
-        perm = rng.permutation(g.n)
-        test_idx = np.sort(perm[:m])
-        train_idx = np.sort(perm[m:])
-        train_groups.append(Group(g.id, g.responses[train_idx], g.features[train_idx]))
-        test_groups.append(Group(g.id, g.responses[test_idx], g.features[test_idx]))
+    for g, test in zip(d.groups, np.split(held, np.cumsum(d.n_r)[:-1])):
+        train_groups.append(Group(g.id, g.responses[~test], g.features[~test]))
+        test_groups.append(Group(g.id, g.responses[test], g.features[test]))
     return GroupedDataset(tuple(train_groups)), GroupedDataset(tuple(test_groups))

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import gmr.io
 from gmr.cli import main
 
 
@@ -261,16 +265,60 @@ def test_benchmark_bad_em_settings_exit_2(tmp_path, capsys):
 
 def test_installed_script_entry_point(tmp_path):
     exe = shutil.which("gmr")
-    if exe is None:
-        pytest.skip("gmr script not on PATH")
+    if exe is not None:
+        command, env = [exe], None
+    else:  # no installed script: run the same entry point from the source tree
+        src = Path(__file__).resolve().parents[1] / "src"
+        command = [sys.executable, "-c", "from gmr.cli import entrypoint; entrypoint()"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [exe, "simulate", "--n", "50", "--K", "2", "--p", "1", "--G", "5",
-         "--sigma", "1", "--delta-beta", "4", "--seed", "0", "--out", str(tmp_path / "s")],
+        command + ["simulate", "--n", "50", "--K", "2", "--p", "1", "--G", "5", "--sigma", "1",
+                   "--delta-beta", "4", "--seed", "0", "--out", str(tmp_path / "s")],
         capture_output=True,
         text=True,
+        env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "R=10" in proc.stdout
+    proc = subprocess.run(command + ["simulate", "--n", "50"], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 2
+    assert "required" in proc.stderr
+
+
+def test_simulate_split_formats_each_group_once(tmp_path, monkeypatch):
+    formatted = []
+    real_csv_lines = gmr.io._csv_lines
+
+    def spy(prefix, values, suffix):
+        formatted.append(prefix)
+        return real_csv_lines(prefix, values, suffix)
+
+    monkeypatch.setattr(gmr.io, "_csv_lines", spy)
+    out = tmp_path / "sim"
+    assert run(
+        [
+            "simulate", "--n", "120", "--K", "2", "--p", "2", "--G", "6", "--sigma", "1",
+            "--delta-beta", "6", "--seed", "5", "--split", "0.3", "--out", str(out),
+        ]
+    ) == 0
+    assert formatted == [f"g{r}," for r in range(12)]  # R calls, one per group
+    assert {p.name for p in out.iterdir()} == {"dataset.csv", "truth.json", "train.csv", "test.csv"}
+
+
+def test_simulate_failing_split_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "sim"
+
+    def args(n, split):
+        return ["simulate", "--n", n, "--K", "2", "--p", "1", "--G", "10", "--sigma", "1",
+                "--delta-beta", "4", "--seed", "0", "--split", split, "--out", str(out)]
+
+    assert run(args("20", "0.2")) == 2  # groups of one row
+    assert "groups too small to split: 'g0'" in capsys.readouterr().err
+    assert run(args("40", "1.5")) == 2
+    assert "test_frac must lie strictly between 0 and 1, got 1.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # sha256 of the files the pipeline below writes, pinned under numpy 2.4.6 and

@@ -305,8 +305,9 @@ def test_predictions_read_errors(tmp_path):
         read_predictions_csv(path)
     assert str(exc.value) == f"{path}:2: 'oops' is not a number"
     path = _csv_file(tmp_path, PRED_HEADER + "a,1,2,3,yes\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError) as exc:
         read_predictions_csv(path)
+    assert str(exc.value) == f"{path}:2: 'yes' is not an integer"
 
 
 # Written by the cell-by-cell csv.writer loop that preceded the bulk writer.
@@ -385,6 +386,52 @@ def test_writers_write_nothing_for_empty_blocks(tmp_path):
     assert (tmp_path / "preds.csv").read_bytes() == PRED_HEADER.encode()
     cols = read_predictions_csv(tmp_path / "preds.csv")
     assert all(len(col) == 0 for col in cols.values())
+
+
+def test_writers_quote_ids_holding_carriage_returns(tmp_path, monkeypatch):
+    from gmr import Group, GroupedDataset
+    from gmr.predict import GroupPredictions
+
+    ids = ["a\rb", "\r", "a\r\nb"]
+    d = GroupedDataset(tuple(Group(gid, [float(i)], [[-float(i)]]) for i, gid in enumerate(ids)))
+    data = tmp_path / "data.csv"
+    write_dataset_csv(d, data)
+    assert data.read_bytes() == (
+        b'group,y,x1\n"a\rb",0.0,-0.0\n"\r",1.0,-1.0\n"a\r\nb",2.0,-2.0\n'
+    )
+    preds = GroupPredictions(
+        group=tuple(ids),
+        y_true=np.array([1.0, 2.0, 3.0]),
+        y_pred=np.array([4.0, 5.0, 6.0]),
+        log_density=np.array([-1.0, -2.0, -3.0]),
+        used_fallback=np.array([False, True, False]),
+    )
+    pred_path = tmp_path / "preds.csv"
+    write_predictions_csv(preds, pred_path)
+    assert pred_path.read_bytes() == PRED_HEADER.encode() + (
+        b'"a\rb",1.0,4.0,-1.0,0\n"\r",2.0,5.0,-2.0,1\n"a\r\nb",3.0,6.0,-3.0,0\n'
+    )
+
+    real_bulk_rows, parsed = gmr.io._bulk_rows, []
+
+    def spy(fh, fields):
+        table = real_bulk_rows(fh, fields)
+        parsed.append(table is not None)
+        return table
+
+    for read, path in ((read_dataset_csv, data), (read_predictions_csv, pred_path)):
+        with monkeypatch.context() as m:
+            m.setattr(gmr.io, "_bulk_rows", spy)
+            bulk = _read_outcome(read, path)
+            m.setattr(gmr.io, "_bulk_rows", lambda fh, fields: None)
+            assert _read_outcome(read, path) == bulk
+    assert parsed == [True, True]  # the bulk parse read both files
+    assert read_dataset_csv(data).group_ids == tuple(ids)
+    assert [g.responses.tolist() for g in read_dataset_csv(data).groups] == [[0.0], [1.0], [2.0]]
+    cols = read_predictions_csv(pred_path)
+    assert cols["group"].tolist() == ids
+    assert cols["used_fallback"].tolist() == [False, True, False]
+
 
 def _read_outcome(read, path):
     try:

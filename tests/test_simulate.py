@@ -8,6 +8,8 @@ import scipy
 from numpy.testing import assert_allclose
 
 from gmr import (
+    Group,
+    GroupedDataset,
     GroupTooSmallError,
     InfeasibleError,
     SimConfig,
@@ -18,6 +20,7 @@ from gmr import (
     train_test_split,
     wishart_covariance,
 )
+from gmr.simulate import _test_rows
 
 
 def test_config_rejects_unembeddable_simplex():
@@ -154,6 +157,25 @@ def test_generate_uneven_total():
     assert max(d.n_r) - min(d.n_r) <= 2  # one remainder step per level
 
 
+def _groups_of_sizes(sizes, seed):
+    rng = np.random.default_rng(seed)
+    return GroupedDataset(tuple(
+        Group(f"g{i}", rng.standard_normal(n), rng.standard_normal((n, 2)))
+        for i, n in enumerate(sizes)
+    ))
+
+
+def _split_indices_by_loop(d, test_frac, seed):
+    """Train and test row indices of each group, drawn one group at a time."""
+    rng = np.random.default_rng(seed)
+    halves = []
+    for g in d.groups:
+        m = min(max(int(round(test_frac * g.n)), 1), g.n - 1)
+        perm = rng.permutation(g.n)
+        halves.append((np.sort(perm[m:]), np.sort(perm[:m])))
+    return halves
+
+
 def test_split_clamps_tiny_groups():
     cfg = SimConfig(n=8, K=2, p=1, G=2, sigma=1.0, delta_beta=2.0, seed=14)
     d, _ = generate(cfg)
@@ -161,6 +183,30 @@ def test_split_clamps_tiny_groups():
     train, test = train_test_split(d, 0.2, seed=0)
     assert train.n_r.tolist() == [1, 1, 1, 1]
     assert test.n_r.tolist() == [1, 1, 1, 1]
+    sizes = [2, 3, 5, 7]
+    d = _groups_of_sizes(sizes, seed=14)
+    for test_frac, held_out in ((0.01, [1, 1, 1, 1]), (0.5, [1, 2, 2, 4]), (0.99, [1, 2, 4, 6])):
+        train, test = train_test_split(d, test_frac, seed=0)
+        assert test.n_r.tolist() == held_out
+        assert train.n_r.tolist() == [n - m for n, m in zip(sizes, held_out)]
+
+
+@pytest.mark.parametrize("test_frac", [0.01, 0.25, 0.5, 0.99])
+def test_split_reproduces_the_per_group_draw(test_frac):
+    d = _groups_of_sizes([2, 3, 5, 7, 7, 5, 3, 2, 40], seed=19)
+    halves = _split_indices_by_loop(d, test_frac, seed=6)
+    expected = np.zeros(d.n, dtype=bool)
+    for (_, test_idx), start in zip(halves, d.stacked[2]):
+        expected[start + test_idx] = True
+    held = _test_rows(d, test_frac, seed=6)
+    assert held.dtype == bool and np.array_equal(held, expected)
+    train, test = train_test_split(d, test_frac, seed=6)
+    for g, gtr, gte, (train_idx, test_idx) in zip(d.groups, train.groups, test.groups, halves):
+        assert gtr.id == gte.id == g.id
+        assert gtr.responses.tobytes() == g.responses[train_idx].tobytes()
+        assert gtr.features.tobytes() == g.features[train_idx].tobytes()
+        assert gte.responses.tobytes() == g.responses[test_idx].tobytes()
+        assert gte.features.tobytes() == g.features[test_idx].tobytes()
 
 
 def test_split_is_a_partition_of_each_group():
