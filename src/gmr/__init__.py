@@ -12,7 +12,6 @@ from .benchmark import BenchmarkSpec, aggregate, aggregate_columns, iter_records
 from .data import (
     Group,
     GroupedDataset,
-    GroupStats,
     ModelParams,
     Responsibilities,
     compute_group_stats,
@@ -81,7 +80,6 @@ __all__ = [
     "GroundTruth",
     "Group",
     "GroupPredictions",
-    "GroupStats",
     "GroupTooSmallError",
     "GroupedDataset",
     "InfeasibleError",

@@ -71,10 +71,13 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _merged_config(args: argparse.Namespace, fields: dict[str, str], allowed: set[str]) -> dict:
-    """Config-file values overridden by any flag that was actually given."""
+def _merged_config(args: argparse.Namespace, fields: dict[str, str]) -> dict:
+    """Config-file values overridden by any flag that was actually given.
+
+    ``fields`` maps each allowed config key to its flag's argparse attribute.
+    """
     conf = _load_config_file(getattr(args, "config", None))
-    unknown = set(conf) - allowed
+    unknown = set(conf) - set(fields)
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     for field_name, attr in fields.items():
@@ -98,9 +101,12 @@ def _parse_k_grid(text: str) -> list[int]:
         if "-" in token[1:]:
             lo, _, hi = token.partition("-")
             try:
-                grid.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
             except ValueError:
                 raise _UsageError(f"bad K range {token!r}") from None
+            if hi < lo:
+                raise _UsageError(f"bad K range {token!r}")
+            grid.extend(range(lo, hi + 1))
         else:
             try:
                 grid.append(int(token))
@@ -131,7 +137,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "wishart_df": "wishart_df",
         "seed": "seed",
     }
-    conf = _merged_config(args, fields, set(fields))
+    conf = _merged_config(args, fields)
     try:
         cfg = SimConfig(**conf)
     except (TypeError, ValueError) as exc:
@@ -175,7 +181,7 @@ _EM_FLAGS = {
 
 
 def _em_config(args: argparse.Namespace) -> EmConfig:
-    conf = _merged_config(args, _EM_FLAGS, set(_EM_FLAGS))
+    conf = _merged_config(args, _EM_FLAGS)
     try:
         return EmConfig(**conf)
     except (TypeError, ValueError) as exc:
@@ -252,7 +258,7 @@ def cmd_select_k(args: argparse.Namespace) -> int:
     data = io.read_dataset_csv(args.data)
     grid = _parse_k_grid(args.k_grid)
     fields = {f: _EM_FLAGS[f] for f in ("epsilon", "max_iter", "n_restarts", "init")}
-    overrides = _merged_config(args, fields, set(fields))
+    overrides = _merged_config(args, fields)
     try:
         template = EmConfig(K=1, **overrides)
         report = select_k(

@@ -4,10 +4,12 @@ A dataset is an ordered collection of groups.  Every observation in a group is
 known to come from a single latent regression cluster, so posteriors live at
 the group level while responses and features live at the observation level.
 Each group's rows are reduced once, when first needed, to a small triangular
-factor (`GroupedDataset.factors`); `compute_group_stats` reads the group's
-second moments off that factor's Gram matrix, without another pass over the
-rows.  The EM engine works on these alone, so an EM iteration never touches
-the raw observations.
+factor (`GroupedDataset.factors`), and the group's second moments
+(`GroupedDataset.sigma_hat`, `GroupedDataset.rho_hat`) are read once off that
+factor's Gram matrix, without another pass over the rows.  The dataset caches
+all three; `compute_group_stats` validates it and fills the cache.  The EM
+engine works on these alone, so an EM iteration never touches the raw
+observations.
 
 All containers are frozen dataclasses holding read-only arrays; they are safe
 to share across threads and between operations without copying.
@@ -31,7 +33,6 @@ from .errors import (
 __all__ = [
     "Group",
     "GroupedDataset",
-    "GroupStats",
     "ModelParams",
     "Responsibilities",
     "compute_group_stats",
@@ -172,6 +173,35 @@ class GroupedDataset:
         T.setflags(write=False)
         return T
 
+    @cached_property
+    def _moments(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        # factors[r].T @ factors[r] = [[sigma_hat[r], rho_hat[r]], [rho_hat[r]', mean(y_r^2)]],
+        # so one Gram product gives both moments.
+        p, T = self.p, self.factors
+        gram = np.swapaxes(T, 1, 2) @ T
+        S = gram[:, :p, :p]
+        sigma_hat = (S + np.swapaxes(S, 1, 2)) / 2.0  # exact symmetry despite rounding
+        sigma_hat.setflags(write=False)
+        # A contiguous copy: the M-step's products take numpy's contiguous path.
+        return sigma_hat, _readonly(gram[:, :p, p])
+
+    @property
+    def sigma_hat(self) -> NDArray[np.float64]:
+        """Per-group mean outer products of the feature rows, shape (R, p, p).
+
+        ``sigma_hat[r] = mean_i(x_ri x_ri^T)``, the leading p x p block of
+        ``factors[r].T @ factors[r]``; exactly symmetric, positive semidefinite.
+        """
+        return self._moments[0]
+
+    @property
+    def rho_hat(self) -> NDArray[np.float64]:
+        """Per-group means of ``y_ri * x_ri``, shape (R, p).
+
+        The top of the last column of ``factors[r].T @ factors[r]``.
+        """
+        return self._moments[1]
+
 
 def validate_dataset(d: GroupedDataset) -> None:
     """Check all dataset invariants, raising on the first violation.
@@ -295,63 +325,17 @@ class Responsibilities:
         return np.argmax(self.tau, axis=1)
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    """Per-group sufficient statistics, computed once and reused across EM iterations.
+def compute_group_stats(d: GroupedDataset) -> GroupedDataset:
+    """Validate ``d`` and compute its per-group statistics once, before any EM iteration.
 
-    The moments are blocks of the factors' Gram matrices, ``factors[r].T @
-    factors[r] = [[sigma_hat[r], rho_hat[r]], [rho_hat[r]', mean(y_r^2)]]``.
+    The statistics are cached on the dataset: the triangular factors
+    (`GroupedDataset.factors`) and the moments read off their Gram matrices
+    (`GroupedDataset.sigma_hat`, `GroupedDataset.rho_hat`).  Later calls find
+    them cached.  Returns ``d``, which every EM layer reads them from.
 
-    Attributes
-    ----------
-    sigma_hat : ndarray, shape (R, p, p)
-        ``sigma_hat[r]`` is the mean outer product of the feature rows of
-        group r (exactly symmetric, positive semidefinite).
-    rho_hat : ndarray, shape (R, p)
-        ``rho_hat[r]`` is the mean of ``y_ri * x_ri`` over group r.
-    n_r : ndarray, shape (R,)
-        Group sizes.
-    factors : ndarray, shape (R, p + 1, p + 1)
-        The dataset's `GroupedDataset.factors`: per-group triangular factors
-        from which the mean squared residual of any coefficient vector is
-        read off stably, without another pass over the observations.
-    """
-
-    sigma_hat: NDArray[np.float64]
-    rho_hat: NDArray[np.float64]
-    n_r: NDArray[np.int64]
-    factors: NDArray[np.float64]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_hat", _readonly(self.sigma_hat))
-        object.__setattr__(self, "rho_hat", _readonly(self.rho_hat))
-        object.__setattr__(self, "n_r", _readonly(self.n_r, dtype=np.int64))
-        object.__setattr__(self, "factors", _readonly(self.factors))
-
-    @property
-    def R(self) -> int:
-        return self.rho_hat.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.rho_hat.shape[1]
-
-
-def compute_group_stats(d: GroupedDataset) -> GroupStats:
-    """Compute per-group statistics once, before any EM iteration.
-
-    ``factors[r]`` is the triangular factor of group r's ``[X_r | y_r] /
-    sqrt(n_r)``, cached on the dataset (`GroupedDataset.factors`).  The
-    moments are blocks of its Gram matrix ``G_r = factors[r].T @ factors[r]``:
-
-    - ``sigma_hat[r] = mean_i(x_ri x_ri^T)``, G_r's leading p x p block;
-    - ``rho_hat[r]   = mean_i(y_ri x_ri)``, the top of G_r's last column.
-
-    The dataset is validated first; see `validate_dataset` for the errors.
+    The dataset is validated first, on every call; see `validate_dataset` for
+    the errors.
     """
     validate_dataset(d)
-    p, T = d.p, d.factors
-    gram = np.swapaxes(T, 1, 2) @ T
-    S = gram[:, :p, :p]
-    sigma_hat = (S + np.swapaxes(S, 1, 2)) / 2.0  # exact symmetry despite rounding
-    return GroupStats(sigma_hat=sigma_hat, rho_hat=gram[:, :p, p], n_r=d.n_r, factors=T)
+    d._moments  # the factors, then both moments off their Gram product
+    return d

@@ -7,16 +7,16 @@ Gaussian densities.  That product underflows already for moderate group sizes,
 so the E-step works on log densities throughout and normalizes with
 log-sum-exp.
 
-The M-steps are closed forms in the cached group statistics: pi is the mean
-responsibility, beta_k solves a weighted normal-equation system pooled over
-groups, and sigma2_k is a weighted average of per-group mean squared
-residuals.  Those residuals come from each group's (p+1) x (p+1) triangular
-factor (`GroupedDataset.factors`), the same way in `log_joint` and in
-`m_step_sigma2`.  Group weights enter only through w_rk = n_r * tau_rk and
-its column normalization, so an iteration costs O(R K p^2) regardless of the
-raw observation count: one matrix product for the residuals, one batched
-Cholesky factorization for the K beta systems and one log-sum-exp for both
-the log-likelihood and the responsibilities.
+The M-steps are closed forms in the group statistics cached on the dataset
+(`compute_group_stats`): pi is the mean responsibility, beta_k solves a
+weighted normal-equation system pooled over groups, and sigma2_k is a weighted
+average of per-group mean squared residuals.  Those residuals come from each
+group's (p+1) x (p+1) triangular factor (`GroupedDataset.factors`), the same
+way in `log_joint` and in `m_step_sigma2`.  Group weights enter only through
+w_rk = n_r * tau_rk and its column normalization, so an iteration costs
+O(R K p^2) regardless of the raw observation count: one matrix product for
+the residuals, one batched Cholesky factorization for the K beta systems and
+one log-sum-exp for both the log-likelihood and the responsibilities.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import (
-    GroupedDataset,
-    GroupStats,
-    ModelParams,
-    Responsibilities,
-    compute_group_stats,
-)
+from .data import GroupedDataset, ModelParams, Responsibilities, compute_group_stats
 from .errors import (
     AllRestartsFailedError,
     DimensionMismatchError,
@@ -191,13 +185,13 @@ def _log_normalize(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (top + np.log(total))[..., 0], e / total
 
 
-def log_joint(stats: GroupStats, params: ModelParams) -> NDArray[np.float64]:
+def log_joint(stats: GroupedDataset, params: ModelParams) -> NDArray[np.float64]:
     """Log joint density of (group r, cluster k) up to the fixed features.
 
     Entry (r, k) is ``log pi_k + sum_i log phi_{sigma_k}(y_ri - beta_k' x_ri)``
     where phi_s is the normal density with standard deviation s.  The residual
     sum comes from the cached group factors: with E_rk the mean squared
-    residual of group r under beta_k (see `GroupStats.factors`),
+    residual of group r under beta_k (see `GroupedDataset.factors`),
 
         entry(r, k) = log pi_k - (n_r / 2) log(2 pi sigma2_k)
                       - n_r E_rk / (2 sigma2_k).
@@ -292,7 +286,7 @@ def _solve_spd_batch(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarr
         return np.array([_solve_spd(A[i], b[i], rel_ridge) for i in range(m)])
 
 
-def _pooled_systems(stats: GroupStats, tau: Responsibilities) -> tuple[np.ndarray, np.ndarray]:
+def _pooled_systems(stats: GroupedDataset, tau: Responsibilities) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster normal-equation matrices (K, p, p) and right-hand sides (K, p).
 
     Raises `EmptyClusterError` as documented in `m_step_beta`.
@@ -313,7 +307,7 @@ def _pooled_systems(stats: GroupStats, tau: Responsibilities) -> tuple[np.ndarra
 
 
 def m_step_beta(
-    stats: GroupStats, tau: Responsibilities, ridge: float = 1e-10
+    stats: GroupedDataset, tau: Responsibilities, ridge: float = 1e-10
 ) -> NDArray[np.float64]:
     """Update coefficients: per-cluster weighted normal equations.
 
@@ -426,7 +420,7 @@ def init_responsibilities(
     K: int,
     strategy: InitStrategy = "random_hard",
     seed=None,
-    stats: GroupStats | None = None,
+    stats: GroupedDataset | None = None,
 ) -> Responsibilities:
     """Draw an initial responsibility matrix.
 
@@ -441,7 +435,8 @@ def init_responsibilities(
         Solve a small ridge regression per group (ridge
         ``1e-6 * trace(sigma_hat_r)/p``), cluster the coefficient vectors with
         k-means (k-means++ seeding, 50 iterations), and convert the labels to
-        indicator rows.  Requires ``stats``.
+        indicator rows.  Requires ``stats``, the dataset whose cached
+        `GroupedDataset.sigma_hat` and `GroupedDataset.rho_hat` it reads.
 
     Raises
     ------
@@ -467,23 +462,18 @@ def init_responsibilities(
 
 
 def _run_restart(
-    d: GroupedDataset,
-    stats: GroupStats,
-    cfg: EmConfig,
-    strategy: InitStrategy,
-    floor: float,
-    seed,
+    d: GroupedDataset, cfg: EmConfig, strategy: InitStrategy, floor: float, seed
 ) -> FitResult:
-    tau = init_responsibilities(d.R, cfg.K, strategy, seed, stats=stats)
+    tau = init_responsibilities(d.R, cfg.K, strategy, seed, stats=d)
     ll_trace = np.empty(cfg.max_iter)
     converged = False
     n_iter = 0
     for t in range(cfg.max_iter):
         pi = m_step_pi(tau)
-        beta = m_step_beta(stats, tau, cfg.ridge)
+        beta = m_step_beta(d, tau, cfg.ridge)
         sigma2 = m_step_sigma2(d, tau, beta, floor)
         params = ModelParams(pi=pi, beta=beta, sigma2=sigma2)
-        row_ll, posterior = _log_normalize(log_joint(stats, params))
+        row_ll, posterior = _log_normalize(log_joint(d, params))
         ll_trace[t] = row_ll.sum()
         new_tau = Responsibilities(posterior)
         delta = np.abs(new_tau.tau - tau.tau).max()
@@ -532,7 +522,7 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
     AllRestartsFailedError
         If every restart was abandoned; carries the per-restart reasons.
     """
-    stats = compute_group_stats(d)
+    compute_group_stats(d)
     strategy = cfg.init
     if cfg.K > d.R:
         logger.warning(
@@ -556,7 +546,7 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
     failures: list[tuple[int, str]] = []
     for i, child in enumerate(seeds):
         try:
-            result = _run_restart(d, stats, cfg, strategy, floor, child)
+            result = _run_restart(d, cfg, strategy, floor, child)
         except (EmptyClusterError, SingularSystemError) as exc:
             logger.debug("restart %d abandoned: %s", i, exc)
             failures.append((i, f"{type(exc).__name__}: {exc}"))

@@ -109,9 +109,38 @@ def _cold_records(path: Path):
                 yield lineno, row
 
 
-def _check_width(path: Path, lineno: int, row: list[str], width: int) -> None:
-    if len(row) != width:
-        raise FormatError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+def _read_rows(path: Path, header_ok, expected: str, flagged: bool = False):
+    """Ids, values (rows, m) and flags (or None) of the rows ``id,v1,...,vm[,flag]``.
+
+    The header must satisfy ``header_ok``; m is its width less the id and flag
+    columns.  The bulk parse takes flags written exactly ``0`` or ``1``.
+    """
+    with path.open(newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or not header_ok(header):
+            raise FormatError(f"{path}: expected header {expected}, got {header!r}")
+        width = len(header)
+        m = width - 1 - flagged
+        fields = [("group", object), ("values", float, (m,))] + [("flag", object)] * flagged
+        table = _bulk_rows(fh, fields)
+    if table is not None:
+        if not flagged:
+            return table["group"], table["values"], None
+        flags = table["flag"]
+        used = flags == "1"
+        if (used | (flags == "0")).all():  # ``int()`` reads other spellings below
+            return table["group"].copy(), table["values"], used
+    ids, values, flags = [], [], []
+    for lineno, row in _cold_records(path):
+        where = f"{path}:{lineno}"
+        if len(row) != width:
+            raise FormatError(f"{where}: expected {width} columns, got {len(row)}")
+        ids.append(row[0])
+        values.append([_float(cell, where) for cell in row[1 : m + 1]])
+        if flagged:
+            flags.append(_flag(row[-1], where))
+    flags = np.array(flags, dtype=bool) if flagged else None
+    return np.array(ids, dtype=object), np.array(values).reshape(-1, m), flags
 
 
 def _grouped(ids: np.ndarray, values: np.ndarray) -> GroupedDataset:
@@ -133,23 +162,10 @@ def _grouped(ids: np.ndarray, values: np.ndarray) -> GroupedDataset:
 
 def read_dataset_csv(path) -> GroupedDataset:
     """Read a ``group,y,x1,...,xp`` CSV; groups ordered by first appearance."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or len(header) < 3 or header[0] != "group" or header[1] != "y":
-            raise FormatError(
-                f"{path}: expected header 'group,y,x1,...,xp', got {header!r}"
-            )
-        width = len(header)
-        table = _bulk_rows(fh, [("group", object), ("values", float, (width - 1,))])
-    if table is not None:
-        return _grouped(table["group"], table["values"])
-    ids, values = [], []
-    for lineno, row in _cold_records(path):
-        _check_width(path, lineno, row, width)
-        values.append([_float(cell, f"{path}:{lineno}") for cell in row[1:]])
-        ids.append(row[0])
-    return _grouped(np.array(ids, dtype=object), np.array(values).reshape(-1, width - 1))
+    ids, values, _ = _read_rows(
+        Path(path), lambda h: len(h) >= 3 and h[:2] == ["group", "y"], "'group,y,x1,...,xp'"
+    )
+    return _grouped(ids, values)
 
 
 def _csv_field(value) -> str:
@@ -229,8 +245,12 @@ def write_model_json(result: FitResult, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_model_json(path) -> FitResult:
-    """Load a model written by `write_model_json`; ``ll_trace`` is not stored."""
+def _read_json(path, build):
+    """``build(doc)`` for the JSON object in ``path``.
+
+    A file that is not a JSON object, or whose fields ``build`` cannot use,
+    raises `FormatError` naming the file and keeping the original message.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -239,24 +259,33 @@ def read_model_json(path) -> FitResult:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")
     try:
-        params = ModelParams(
+        return build(doc)
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _fit_result(doc: dict) -> FitResult:
+    posteriors = doc["group_posteriors"]
+    return FitResult(
+        params=ModelParams(
             pi=doc["pi"],
             beta=np.array(doc["beta"], dtype=float).T,
             sigma2=doc["sigma2"],
-        )
-        posteriors = doc["group_posteriors"]
-        tau = Responsibilities(np.array(list(posteriors.values()), dtype=float))
-        return FitResult(
-            params=params,
-            tau=tau,
-            group_ids=tuple(posteriors.keys()),
-            log_likelihood=float(doc["log_likelihood"]),
-            n_iter=int(doc["n_iter"]),
-            converged=bool(doc["converged"]),
-            ll_trace=None,
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from None
+        ),
+        tau=Responsibilities(np.array(list(posteriors.values()), dtype=float)),
+        group_ids=tuple(posteriors.keys()),
+        log_likelihood=float(doc["log_likelihood"]),
+        n_iter=int(doc["n_iter"]),
+        converged=bool(doc["converged"]),
+        ll_trace=None,
+    )
+
+
+def read_model_json(path) -> FitResult:
+    """Load a model written by `write_model_json`; ``ll_trace`` is not stored."""
+    return _read_json(path, _fit_result)
 
 
 def write_truth_json(truth: GroundTruth, cfg: SimConfig, path) -> None:
@@ -280,25 +309,18 @@ def write_truth_json(truth: GroundTruth, cfg: SimConfig, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _truth(doc: dict) -> tuple[GroundTruth, SimConfig]:
+    truth = GroundTruth(
+        beta_true=np.array(doc["beta_true"], dtype=float).T,
+        labels=doc["labels"],
+        sigma_true=doc["sigma"],
+        Sigma_x=doc["Sigma_x"],
+    )
+    return truth, SimConfig(**doc["config"])
+
+
 def read_truth_json(path) -> tuple[GroundTruth, SimConfig]:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    try:
-        truth = GroundTruth(
-            beta_true=np.array(doc["beta_true"], dtype=float).T,
-            labels=doc["labels"],
-            sigma_true=doc["sigma"],
-            Sigma_x=doc["Sigma_x"],
-        )
-        cfg = SimConfig(**doc["config"])
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from None
-    return truth, cfg
+    return _read_json(path, _truth)
 
 
 def write_predictions_csv(preds: GroupPredictions, path) -> None:
@@ -316,41 +338,19 @@ def write_predictions_csv(preds: GroupPredictions, path) -> None:
             fh.write("".join(_csv_lines(prefix, values[start:stop], f",{int(fallback[start])}")))
 
 
-def _prediction_columns(group, values, used_fallback) -> dict[str, np.ndarray]:
+def read_predictions_csv(path) -> dict[str, np.ndarray]:
+    """Read a predictions CSV back into column arrays."""
+    group, values, used_fallback = _read_rows(
+        Path(path), lambda h: h == _PREDICTION_COLUMNS, str(_PREDICTION_COLUMNS), flagged=True
+    )
     y_true, y_pred, log_density = np.array(values.T)
     return {
         "group": group,
         "y_true": y_true,
         "y_pred": y_pred,
         "log_density": log_density,
-        "used_fallback": np.array(used_fallback, dtype=bool),
+        "used_fallback": used_fallback,
     }
-
-
-def read_predictions_csv(path) -> dict[str, np.ndarray]:
-    """Read a predictions CSV back into column arrays."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header != _PREDICTION_COLUMNS:
-            raise FormatError(f"{path}: expected header {_PREDICTION_COLUMNS}, got {header!r}")
-        table = _bulk_rows(
-            fh, [("group", object), ("values", float, (3,)), ("used_fallback", object)]
-        )
-    if table is not None:
-        flags = table["used_fallback"]
-        used_fallback = flags == "1"
-        if (used_fallback | (flags == "0")).all():  # ``int()`` reads other spellings below
-            return _prediction_columns(table["group"].copy(), table["values"], used_fallback)
-    group, values, used_fallback = [], [], []
-    for lineno, row in _cold_records(path):
-        _check_width(path, lineno, row, 5)
-        group.append(row[0])
-        values.append([_float(cell, f"{path}:{lineno}") for cell in row[1:4]])
-        used_fallback.append(_flag(row[4], f"{path}:{lineno}"))
-    return _prediction_columns(
-        np.array(group, dtype=object), np.array(values).reshape(-1, 3), used_fallback
-    )
 
 
 def write_selection_report(report: SelectionReport, json_path, csv_path) -> None:

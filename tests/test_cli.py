@@ -204,6 +204,28 @@ def test_select_k_data_error_exit_1_usage_error_exit_2(tmp_path, capsys):
     assert "n_reps must be at least 1" in capsys.readouterr().err
 
 
+def test_select_k_reversed_k_range_is_usage_error(sim_dir, tmp_path, capsys):
+    base = ["select-k", "--data", str(sim_dir / "train.csv"), "--out", str(tmp_path / "r.json")]
+    for grid in ("2,5-3", "5-3"):
+        assert run(base + ["--k-grid", grid]) == 2
+        assert capsys.readouterr().err == "error: bad K range '5-3'\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_malformed_model_json_exit_1_naming_the_file(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["group_posteriors"] = []
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", str(model), "--data", str(sim_dir / "test.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: 'list' object has no attribute 'values'\n"
+    assert run(["evaluate", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: 'list' object has no attribute 'values'\n"
+
+
 def test_benchmark_jsonl_and_aggregate(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(

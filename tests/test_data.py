@@ -205,6 +205,39 @@ def test_stats_sigma_hat_exactly_symmetric():
     assert (s.sigma_hat[0] == s.sigma_hat[0].T).all()
 
 
+def test_stats_are_computed_once_and_cached_on_the_dataset():
+    rng = np.random.default_rng(5)
+    d = make_dataset([(rng.normal(size=n), rng.normal(size=(n, 3))) for n in (2, 5, 5, 9)])
+    first, second = compute_group_stats(d), compute_group_stats(d)
+    assert first is d and second is d
+    assert "factors" in vars(d)  # filled inside the call, not on first use
+    cached = (d.factors, d.sigma_hat, d.rho_hat)
+    compute_group_stats(d)
+    for before, after in zip(cached, (d.factors, d.sigma_hat, d.rho_hat)):
+        assert after is before
+        assert not after.flags.writeable
+    assert d.sigma_hat.shape == (4, 3, 3) and d.rho_hat.shape == (4, 3)
+    assert d.rho_hat.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "groups, error",
+    [
+        ((), EmptyGroupError),
+        ((Group("a", [1.0], [[1.0]]), Group("b", [], np.empty((0, 1)))), EmptyGroupError),
+        ((Group("a", [1.0], [[1.0, 2.0]]), Group("b", [1.0], [[1.0]])), DimensionMismatchError),
+        ((Group("a", [1.0], [[np.inf]]),), NonFiniteError),
+        ((Group("a", [1.0], [[1.0]]), Group("a", [2.0], [[2.0]])), DuplicateGroupIdError),
+    ],
+)
+def test_stats_reject_an_invalid_dataset_on_every_call(groups, error):
+    d = GroupedDataset(groups)
+    for _ in range(3):
+        with pytest.raises(error):
+            compute_group_stats(d)
+    assert "factors" not in vars(d)
+
+
 def test_model_params_validation():
     ModelParams([0.5, 0.5], [[1.0, 2.0]], [1.0, 1.0])
     with pytest.raises(ValueError):

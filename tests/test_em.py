@@ -500,10 +500,10 @@ def test_fit_all_restarts_failed():
 
 def _restarts(d, cfg):
     """Every restart `fit` runs for ``cfg``, in order, none abandoned."""
-    stats = compute_group_stats(d)
+    compute_group_stats(d)
     floor = em.VAR_FLOOR_REL * float(np.var(d.stacked[0]))
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_restarts)
-    return [em._run_restart(d, stats, cfg, cfg.init, floor, c) for c in children]
+    return [em._run_restart(d, cfg, cfg.init, floor, c) for c in children]
 
 
 def test_fit_passes_over_spurious_maximizer():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,35 @@ def test_model_read_rejects_garbage(tmp_path):
     path.write_text('{"K": 2}')
     with pytest.raises(FormatError):
         read_model_json(path)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        ("model", "group_posteriors", [], "'list' object has no attribute 'values'"),
+        ("model", "pi", "x", "could not convert string to float: 'x'"),
+        ("model", "beta", [[1.0], [1.0, 2.0]], "setting an array element with a sequence"),
+        ("model", "n_iter", "x", "invalid literal for int() with base 10: 'x'"),
+        ("truth", "config", [], "argument after ** must be a mapping"),
+        ("truth", "labels", "x", "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_malformed_json_fields_raise_format_error_naming_the_file(
+    sim, kind, field, value, message
+):
+    tmp, cfg, d, truth = sim
+    path = tmp / f"{kind}.json"
+    if kind == "model":
+        write_model_json(fit(d, EmConfig(K=2, n_restarts=1, seed=1)), path)
+    else:
+        write_truth_json(truth, cfg, path)
+    read = read_model_json if kind == "model" else read_truth_json
+    read(path)  # the untouched file reads
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        read(path)
 
 
 def test_truth_round_trip(sim):
