@@ -16,18 +16,18 @@ ones before fitting.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args
 
 from . import benchmark as bench
 from . import io
-from .em import EmConfig, fit
+from .em import EmConfig, InitStrategy, fit
 from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
 from .predict import predict_groups
@@ -71,19 +71,20 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _merged_config(args: argparse.Namespace, fields: dict[str, str]) -> dict:
+def _merged_config(args: argparse.Namespace, names: list[str]) -> dict:
     """Config-file values overridden by any flag that was actually given.
 
-    ``fields`` maps each allowed config key to its flag's argparse attribute.
+    ``names`` are the allowed config keys; each is also its flag's argparse
+    attribute.
     """
     conf = _load_config_file(getattr(args, "config", None))
-    unknown = set(conf) - set(fields)
+    unknown = set(conf) - set(names)
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    for field_name, attr in fields.items():
-        value = getattr(args, attr)
+    for name in names:
+        value = getattr(args, name)
         if value is not None:
-            conf[field_name] = value
+            conf[name] = value
     return conf
 
 
@@ -127,17 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     the files hold the same bytes as writing the dataset and both halves of
     the split one by one.
     """
-    fields = {
-        "n": "n",
-        "K": "K",
-        "p": "p",
-        "G": "G",
-        "sigma": "sigma",
-        "delta_beta": "delta_beta",
-        "wishart_df": "wishart_df",
-        "seed": "seed",
-    }
-    conf = _merged_config(args, fields)
+    conf = _merged_config(args, [f.name for f in fields(SimConfig)])
     try:
         cfg = SimConfig(**conf)
     except (TypeError, ValueError) as exc:
@@ -167,21 +158,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-# EmConfig field -> command line flag (argparse attribute).
-_EM_FLAGS = {
-    "K": "K",
-    "epsilon": "epsilon",
-    "max_iter": "max_iter",
-    "n_restarts": "restarts",
-    "init": "init",
-    "sigma2_floor": "sigma2_floor",
-    "ridge": "ridge",
-    "seed": "seed",
-}
-
-
 def _em_config(args: argparse.Namespace) -> EmConfig:
-    conf = _merged_config(args, _EM_FLAGS)
+    conf = _merged_config(args, [f.name for f in fields(EmConfig)])
     try:
         return EmConfig(**conf)
     except (TypeError, ValueError) as exc:
@@ -203,8 +181,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = io.read_model_json(args.model)
     data = io.read_dataset_csv(args.data)
-    on_unknown = "prior" if args.fallback == "prior" else "error"
-    preds = predict_groups(model, data, on_unknown=on_unknown)
+    preds = predict_groups(model, data, on_unknown=args.fallback)
     io.write_predictions_csv(preds, args.out)
     n_fallback = int(preds.used_fallback.sum())
     print(f"wrote {len(preds.y_pred)} predictions ({n_fallback} with prior fallback)")
@@ -257,8 +234,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_select_k(args: argparse.Namespace) -> int:
     data = io.read_dataset_csv(args.data)
     grid = _parse_k_grid(args.k_grid)
-    fields = {f: _EM_FLAGS[f] for f in ("epsilon", "max_iter", "n_restarts", "init")}
-    overrides = _merged_config(args, fields)
+    overrides = _merged_config(args, ["epsilon", "max_iter", "n_restarts", "init"])
     try:
         template = EmConfig(K=1, **overrides)
         report = select_k(
@@ -300,18 +276,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     rows = bench.aggregate(records)
     columns = bench.aggregate_columns(spec)
     csv_path = out.with_suffix(".csv")
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    ""
-                    if row[c] is None
-                    else (repr(row[c]) if isinstance(row[c], float) else row[c])
-                    for c in columns
-                ]
-            )
+    io._write_table_csv(columns, ([row[c] for c in columns] for row in rows), csv_path)
     n_failed = sum(row["n_failed"] for row in rows)
     print(
         f"{len(records)} replications in {len(rows)} cells; {n_failed} failures; "
@@ -332,6 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    em_flags = argparse.ArgumentParser(add_help=False)  # shared by fit and select-k
+    em_flags.add_argument("--epsilon", type=float, help="convergence threshold on responsibilities")
+    em_flags.add_argument("--max-iter", type=int, help="iteration cap per restart")
+    em_flags.add_argument(
+        "--restarts",
+        type=int,
+        dest="n_restarts",  # the EmConfig field, so config keys and flags share names
+        metavar="RESTARTS",
+        help="independent restarts per fit",
+    )
+    em_flags.add_argument("--init", choices=get_args(InitStrategy), help="initialization strategy")
+    em_flags.add_argument("--seed", type=int, help="RNG seed")
+
     sim = sub.add_parser("simulate", help="draw a synthetic dataset and its ground truth")
     sim.add_argument("--config", help="JSON file with simulation settings (flags win)")
     sim.add_argument("--n", type=int, help="total observations")
@@ -346,21 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
-    fit_p = sub.add_parser("fit", help="fit the mixture to a dataset CSV")
+    fit_p = sub.add_parser("fit", parents=[em_flags], help="fit the mixture to a dataset CSV")
     fit_p.add_argument("--config", help="JSON file with EM settings (flags win)")
     fit_p.add_argument("--data", required=True, help="dataset CSV (group,y,x1,...,xp)")
     fit_p.add_argument("--K", type=int, help="number of clusters")
-    fit_p.add_argument("--epsilon", type=float, help="convergence threshold on responsibilities")
-    fit_p.add_argument("--max-iter", type=int, help="iteration cap per restart")
-    fit_p.add_argument("--restarts", type=int, help="independent restarts")
-    fit_p.add_argument(
-        "--init",
-        choices=["random_hard", "random_soft", "kmeans_on_group_coefs"],
-        help="initialization strategy",
-    )
     fit_p.add_argument("--sigma2-floor", type=float, help="minimum noise variance")
     fit_p.add_argument("--ridge", type=float, help="relative ridge for the beta solve")
-    fit_p.add_argument("--seed", type=int, help="RNG seed")
     fit_p.add_argument("--out", required=True, help="model JSON path")
     fit_p.set_defaults(func=cmd_fit)
 
@@ -386,20 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="metrics JSON path (default: stdout)")
     ev.set_defaults(func=cmd_evaluate)
 
-    sel = sub.add_parser("select-k", help="choose K by repeated hold-out validation")
+    sel = sub.add_parser(
+        "select-k", parents=[em_flags], help="choose K by repeated hold-out validation"
+    )
     sel.add_argument("--data", required=True, help="dataset CSV")
     sel.add_argument("--k-grid", required=True, help="candidates, e.g. '2,3,4' or '2-8'")
     sel.add_argument("--reps", type=int, default=10, help="hold-out repetitions (default 10)")
     sel.add_argument("--test-frac", type=float, default=0.2, help="per-group hold-out fraction")
-    sel.add_argument("--epsilon", type=float, help="convergence threshold on responsibilities")
-    sel.add_argument("--max-iter", type=int, help="iteration cap per restart")
-    sel.add_argument("--restarts", type=int, help="independent restarts per fit")
-    sel.add_argument(
-        "--init",
-        choices=["random_hard", "random_soft", "kmeans_on_group_coefs"],
-        help="initialization strategy",
-    )
-    sel.add_argument("--seed", type=int, help="RNG seed")
     sel.add_argument("--out", required=True, help="report JSON path (a CSV twin is written beside it)")
     sel.set_defaults(func=cmd_select_k)
 

@@ -48,6 +48,20 @@ def _readonly(x, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_integers(cfg, names, optional=()) -> None:
+    """Raise ValueError naming the first field of ``cfg`` that is not an integer.
+
+    Python and numpy integers pass and ``bool`` does not; the fields named in
+    ``optional`` may also be None.
+    """
+    for name in names:
+        value = getattr(cfg, name)
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class Group:
     """One group: a response vector and a row-per-observation feature matrix.

@@ -23,12 +23,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import GroupedDataset, ModelParams, Responsibilities, compute_group_stats
+from .data import (
+    GroupedDataset,
+    ModelParams,
+    Responsibilities,
+    _check_integers,
+    compute_group_stats,
+)
 from .errors import (
     AllRestartsFailedError,
     DimensionMismatchError,
@@ -76,7 +82,8 @@ KMEANS_ITERS = 50
 # and loses to any restart without one (see `fit`).
 MIN_CLUSTER_GROUPS = 2.5
 
-InitStrategy = Literal["random_soft", "random_hard", "kmeans_on_group_coefs"]
+# In the order `gmr fit --help` lists the choices of --init.
+InitStrategy = Literal["random_hard", "random_soft", "kmeans_on_group_coefs"]
 _HARD_STRATEGIES = ("random_hard", "kmeans_on_group_coefs")
 
 
@@ -120,6 +127,7 @@ class EmConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_integers(self, ("K", "max_iter", "n_restarts", "seed"), optional=("seed",))
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if not self.epsilon > 0:
@@ -128,7 +136,7 @@ class EmConfig:
             raise ValueError("max_iter must be at least 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be at least 1")
-        if self.init not in ("random_soft",) + _HARD_STRATEGIES:
+        if self.init not in get_args(InitStrategy):
             raise ValueError(f"unknown init strategy {self.init!r}")
         if self.sigma2_floor is not None and not self.sigma2_floor > 0:
             raise ValueError("sigma2_floor must be positive when given")

@@ -27,6 +27,7 @@ train or the test file.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import warnings
 from io import StringIO
@@ -268,13 +269,21 @@ def _read_json(path, build):
 
 def _fit_result(doc: dict) -> FitResult:
     posteriors = doc["group_posteriors"]
+    params = ModelParams(
+        pi=doc["pi"],
+        beta=np.array(doc["beta"], dtype=float).T,
+        sigma2=doc["sigma2"],
+    )
+    tau = Responsibilities(np.array(list(posteriors.values()), dtype=float))
+    if doc["K"] != params.K or doc["p"] != params.p:
+        raise ValueError(
+            f"K={doc['K']!r}, p={doc['p']!r} disagree with pi and beta (K={params.K}, p={params.p})"
+        )
+    if tau.K != params.K:
+        raise ValueError(f"group_posteriors rows have {tau.K} entries, pi has {params.K}")
     return FitResult(
-        params=ModelParams(
-            pi=doc["pi"],
-            beta=np.array(doc["beta"], dtype=float).T,
-            sigma2=doc["sigma2"],
-        ),
-        tau=Responsibilities(np.array(list(posteriors.values()), dtype=float)),
+        params=params,
+        tau=tau,
         group_ids=tuple(posteriors.keys()),
         log_likelihood=float(doc["log_likelihood"]),
         n_iter=int(doc["n_iter"]),
@@ -295,16 +304,7 @@ def write_truth_json(truth: GroundTruth, cfg: SimConfig, path) -> None:
         "labels": truth.labels.tolist(),
         "sigma": truth.sigma_true.tolist(),
         "Sigma_x": truth.Sigma_x.tolist(),
-        "config": {
-            "n": cfg.n,
-            "K": cfg.K,
-            "p": cfg.p,
-            "G": cfg.G,
-            "sigma": cfg.sigma,
-            "delta_beta": cfg.delta_beta,
-            "wishart_df": cfg.wishart_df,
-            "seed": cfg.seed,
-        },
+        "config": dataclasses.asdict(cfg),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -364,8 +364,16 @@ def write_selection_report(report: SelectionReport, json_path, csv_path) -> None
         "n_reps": report.n_reps,
     }
     Path(json_path).write_text(json.dumps(doc, indent=2) + "\n")
-    with Path(csv_path).open("w", newline="") as fh:
+    rows = ([k, report.rmse_by_k[k], report.sd_by_k[k]] for k in sorted(report.rmse_by_k))
+    _write_table_csv(["K", "mean_rmse", "sd_rmse"], rows, csv_path)
+
+
+def _write_table_csv(columns, rows, path) -> None:
+    """Write a report table: floats as their ``repr``, None as an empty cell."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["K", "mean_rmse", "sd_rmse"])
-        for k in sorted(report.rmse_by_k):
-            writer.writerow([k, repr(report.rmse_by_k[k]), repr(report.sd_by_k[k])])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(
+                ["" if v is None else repr(v) if isinstance(v, float) else v for v in row]
+            )

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.stats import special_ortho_group
 
-from .data import Group, GroupedDataset
+from .data import Group, GroupedDataset, _check_integers
 from .errors import GroupTooSmallError, InfeasibleError, TooManyGroupsError
 
 __all__ = [
@@ -67,6 +67,9 @@ class SimConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_integers(
+            self, ("n", "K", "p", "G", "wishart_df", "seed"), optional=("wishart_df", "seed")
+        )
         if self.K < 1 or self.p < 1 or self.G < 1:
             raise ValueError("K, p and G must all be at least 1")
         if self.K > self.p + 1:

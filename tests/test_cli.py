@@ -1,19 +1,24 @@
 """Command line interface, exercised in-process through main()."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
 import scipy
 
 import gmr.io
-from gmr.cli import main
+from gmr import cli
+from gmr.cli import build_parser, main
+from gmr.em import InitStrategy
 
 
 def run(args):
@@ -224,6 +229,88 @@ def test_malformed_model_json_exit_1_naming_the_file(sim_dir, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {model}: 'list' object has no attribute 'values'\n"
     assert run(["evaluate", "--model", str(model)]) == 1
     assert capsys.readouterr().err == f"error: {model}: 'list' object has no attribute 'values'\n"
+
+
+def test_model_json_with_wider_posteriors_exit_1_naming_the_file(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["group_posteriors"] = dict.fromkeys(doc["group_posteriors"], [0.5, 0.25, 0.25])
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    message = f"error: {model}: group_posteriors rows have 3 entries, pi has 2\n"
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", str(model), "--data", str(sim_dir / "test.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert run(["evaluate", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_config_keys_are_the_em_config_field_names(sim_dir, tmp_path, capsys):
+    conf = tmp_path / "em.json"
+    fit_args = ["fit", "--config", str(conf), "--data", str(sim_dir / "train.csv"), "--K", "2"]
+    conf.write_text(json.dumps({"n_restarts": 2, "seed": 1}))
+    assert run(fit_args + ["--out", str(tmp_path / "a.json")]) == 0
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--restarts", "2",
+                "--seed", "1", "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    conf.write_text(json.dumps({"restarts": 2}))
+    capsys.readouterr()
+    assert run(fit_args + ["--out", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: ['restarts']\n"
+
+    # select-k has no --config flag; its config keys are the same field names.
+    sel = build_parser().parse_args(
+        ["select-k", "--data", str(sim_dir / "train.csv"), "--k-grid", "1,2", "--reps", "2",
+         "--seed", "4", "--out", str(tmp_path / "r.json")]
+    )
+    sel.config = str(conf)
+    conf.write_text(json.dumps({"n_restarts": 2}))
+    assert sel.func(sel) == 0
+    conf.write_text(json.dumps({"restarts": 2}))
+    with pytest.raises(cli._UsageError, match=re.escape("unknown config keys: ['restarts']")):
+        sel.func(sel)
+
+
+@pytest.mark.parametrize(
+    "command, required",
+    [("fit", []), ("select-k", ["--k-grid", "2"])],
+)
+def test_fit_and_select_k_share_their_em_flags(command, required):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    init = sub.choices[command]._option_string_actions["--init"]
+    assert tuple(init.choices) == get_args(InitStrategy)
+    args = parser.parse_args(
+        [command, "--data", "d.csv", "--out", "o", *required, "--restarts", "3",
+         "--epsilon", "1e-4", "--max-iter", "7", "--init", "random_soft", "--seed", "5"]
+    )
+    assert (args.n_restarts, args.epsilon, args.max_iter, args.init, args.seed) == (
+        3, 1e-4, 7, "random_soft", 5
+    )
+
+
+@pytest.mark.parametrize(
+    "command, conf, message",
+    [
+        ("fit", {"max_iter": 2.5}, "max_iter must be an integer"),
+        ("fit", {"seed": 1.5}, "seed must be an integer"),
+        ("simulate", {"G": 5.5}, "G must be an integer"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_usage_error(
+    sim_dir, tmp_path, capsys, command, conf, message
+):
+    path = tmp_path / "conf.json"
+    if command == "simulate":
+        conf = {"n": 100, "K": 2, "p": 2, "sigma": 1.0, "delta_beta": 6.0, **conf}
+        args = ["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]
+    else:
+        args = ["fit", "--config", str(path), "--data", str(sim_dir / "train.csv"), "--K", "2",
+                "--out", str(tmp_path / "m.json")]
+    path.write_text(json.dumps(conf))
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_benchmark_jsonl_and_aggregate(tmp_path, capsys):

@@ -564,3 +564,12 @@ def test_em_config_validation():
         EmConfig(K=2, init="nope")
     with pytest.raises(ValueError):
         EmConfig(K=2, sigma2_floor=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("K", 2.0), ("max_iter", 2.5), ("n_restarts", True), ("seed", 1.5)]
+)
+def test_em_config_rejects_non_integer_counts(field, value):
+    EmConfig(K=np.int64(2), max_iter=np.int32(5), seed=np.uint32(3))  # numpy integers pass
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        EmConfig(**{"K": 2, field: value})

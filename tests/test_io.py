@@ -153,6 +153,27 @@ def test_malformed_json_fields_raise_format_error_naming_the_file(
         read(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("group_posteriors", [0.5, 0.25, 0.25], "group_posteriors rows have 3 entries, pi has 2"),
+        ("K", 5, "K=5, p=2 disagree with pi and beta (K=2, p=2)"),
+        ("p", 9, "K=2, p=9 disagree with pi and beta (K=2, p=2)"),
+    ],
+)
+def test_model_json_that_contradicts_itself_raises_format_error(sim, field, value, message):
+    tmp, _, d, _ = sim
+    path = tmp / "model.json"
+    write_model_json(fit(d, EmConfig(K=2, n_restarts=1, seed=1)), path)
+    doc = json.loads(path.read_text())
+    if field == "group_posteriors":
+        value = dict.fromkeys(doc["group_posteriors"], value)  # every row 3 wide
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_model_json(path)
+
+
 def test_truth_round_trip(sim):
     tmp, cfg, _, truth = sim
     path = tmp / "truth.json"
@@ -194,6 +215,13 @@ def test_selection_report_files(sim):
     lines = cp.read_text().splitlines()
     assert lines[0] == "K,mean_rmse,sd_rmse"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+
+
+def test_table_writer_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [[3, 0.1 + 0.2, -0.0, None], [0, 1.0, 5e-324, 2]]
+    gmr.io._write_table_csv(["K", "x", "y", "z"], rows, path)
+    assert path.read_bytes() == b"K,x,y,z\n3,0.30000000000000004,-0.0,\n0,1.0,5e-324,2\n"
 
 
 def test_float_repr_precision_survives_round_trip(tmp_path):

@@ -42,6 +42,16 @@ def test_config_rejects_bad_scalars():
         SimConfig(n=100, K=2, p=2, G=5, sigma=1.0, delta_beta=1.0, wishart_df=1)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("n", 100.0), ("G", 5.5), ("p", True), ("wishart_df", 4.0), ("seed", 1.5)]
+)
+def test_config_rejects_non_integer_counts(field, value):
+    good = dict(n=100, K=2, p=2, G=5, sigma=1.0, delta_beta=1.0)
+    SimConfig(**{**good, "n": np.int64(100), "seed": np.uint32(3)})  # numpy integers pass
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        SimConfig(**{**good, field: value})
+
+
 def test_simplex_antipodal_pair():
     b = simplex_betas(2, 3, 6.0, seed=0)
     assert_allclose(b[:, 0], -b[:, 1], atol=1e-9)
