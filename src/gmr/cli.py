@@ -71,21 +71,23 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _merged_config(args: argparse.Namespace, names: list[str]) -> dict:
-    """Config-file values overridden by any flag that was actually given.
+def _config(cls, args: argparse.Namespace):
+    """``cls`` built from the ``--config`` file, overridden by every flag given.
 
-    ``names`` are the allowed config keys; each is also its flag's argparse
-    attribute.
+    The config keys are the fields of ``cls``; each is also its flag's
+    argparse attribute.  Unknown keys and values ``cls`` rejects are usage
+    errors.
     """
-    conf = _load_config_file(getattr(args, "config", None))
+    names = [f.name for f in fields(cls)]
+    conf = _load_config_file(args.config)
     unknown = set(conf) - set(names)
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    for name in names:
-        value = getattr(args, name)
-        if value is not None:
-            conf[name] = value
-    return conf
+    conf.update({name: getattr(args, name) for name in names if getattr(args, name) is not None})
+    try:
+        return cls(**conf)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _size_summary(sizes) -> str:
@@ -128,29 +130,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     the files hold the same bytes as writing the dataset and both halves of
     the split one by one.
     """
-    conf = _merged_config(args, [f.name for f in fields(SimConfig)])
-    try:
-        cfg = SimConfig(**conf)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
+    cfg = _config(SimConfig, args)
     data, truth = generate(cfg)
-    test_rows = None
+    out = Path(args.out)
+    outputs = [(out / "dataset.csv", None)]
     if args.split is not None:
         try:
             test_rows = _test_rows(data, args.split, seed=cfg.seed)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    out = Path(args.out)
+        outputs += [(out / "train.csv", ~test_rows), (out / "test.csv", test_rows)]
     out.mkdir(parents=True, exist_ok=True)
-    written = ["dataset.csv", "truth.json"]
-    if test_rows is None:
-        io.write_dataset_csv(data, out / "dataset.csv")
-    else:
-        io._write_split_dataset_csvs(
-            data, test_rows, out / "dataset.csv", out / "train.csv", out / "test.csv"
-        )
-        written += ["train.csv", "test.csv"]
+    io._write_dataset_csvs(data, outputs)
     io.write_truth_json(truth, cfg, out / "truth.json")
+    written = ["dataset.csv", "truth.json"] + [path.name for path, _ in outputs[1:]]
     print(
         f"R={data.R} groups; sizes: {_size_summary(data.n_r)}; "
         f"wrote {', '.join(written)} in {out}"
@@ -158,16 +151,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _em_config(args: argparse.Namespace) -> EmConfig:
-    conf = _merged_config(args, [f.name for f in fields(EmConfig)])
-    try:
-        return EmConfig(**conf)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _em_config(args)
+    cfg = _config(EmConfig, args)
     data = io.read_dataset_csv(args.data)
     result = fit(data, cfg)
     io.write_model_json(result, args.out)
@@ -234,9 +219,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_select_k(args: argparse.Namespace) -> int:
     data = io.read_dataset_csv(args.data)
     grid = _parse_k_grid(args.k_grid)
-    overrides = _merged_config(args, ["epsilon", "max_iter", "n_restarts", "init"])
+    flags = {name: getattr(args, name) for name in ("epsilon", "max_iter", "n_restarts", "init")}
     try:
-        template = EmConfig(K=1, **overrides)
+        template = EmConfig(K=1, **{name: v for name, v in flags.items() if v is not None})
         report = select_k(
             data,
             grid,

@@ -48,18 +48,21 @@ def _readonly(x, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_integers(cfg, names, optional=()) -> None:
-    """Raise ValueError naming the first field of ``cfg`` that is not an integer.
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer.
 
-    Python and numpy integers pass and ``bool`` does not; the fields named in
-    ``optional`` may also be None.
+    Python and numpy integers pass and ``bool`` does not.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+
+
+def _check_integers(cfg, names, optional=()) -> None:
+    """`_check_integer` on each field of ``cfg`` in ``names``; those in ``optional`` may be None."""
     for name in names:
         value = getattr(cfg, name)
-        if value is None and name in optional:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer")
+        if value is not None or name not in optional:
+            _check_integer(name, value)
 
 
 @dataclass(frozen=True)

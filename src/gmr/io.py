@@ -18,10 +18,10 @@ each run of rows with one ``repr`` of its nested list, so every float is
 written as the shortest round-trip ``float.__repr__``, and it quotes ids as
 `csv.writer` does, with a bare ``\\r`` quoted too.
 
-``simulate --split`` writes the dataset and both halves of its split in one
-pass: each group's rows are formatted once, by the formatter
-`write_dataset_csv` uses, and each line goes to the dataset file and to the
-train or the test file.
+One writer serves `write_dataset_csv` and ``simulate --split``: it formats
+each group's rows once and sends each line to every file whose row mask
+holds it, so the dataset and both halves of its split are written in one
+pass.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import csv
 import dataclasses
 import json
 import warnings
+from contextlib import ExitStack
 from io import StringIO
 from itertools import compress
 from pathlib import Path
@@ -188,43 +189,30 @@ def _csv_lines(prefix: str, values, suffix: str) -> list[str]:
     return [f"{prefix}{row}{suffix}\n" for row in cells.split("],[")]
 
 
-def _dataset_header(p: int) -> str:
-    return ",".join(["group", "y"] + [f"x{j + 1}" for j in range(p)]) + "\n"
-
-
-def _dataset_lines(g: Group) -> list[str]:
-    return _csv_lines(_csv_field(g.id) + ",", np.column_stack([g.responses, g.features]), "")
-
-
 def write_dataset_csv(d: GroupedDataset, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write(_dataset_header(d.p))
-        for g in d.groups:
-            fh.write("".join(_dataset_lines(g)))
+    _write_dataset_csvs(d, [(path, None)])
 
 
-def _write_split_dataset_csvs(
-    d: GroupedDataset, test_rows: np.ndarray, dataset_path, train_path, test_path
-) -> None:
-    """Write ``d`` and its train/test halves, formatting each group's rows once.
+def _write_dataset_csvs(d: GroupedDataset, outputs) -> None:
+    """Write the rows of ``d`` to each ``(path, rows)`` of ``outputs`` in one pass.
 
-    ``test_rows`` marks the held-out rows in dataset row order.  Each line
-    goes to ``dataset_path`` and to ``test_path`` or ``train_path``, so the
-    three files hold the bytes `write_dataset_csv` writes for ``d`` and for
-    the two halves of `train_test_split`.
+    ``rows`` is a boolean mask over the rows in dataset order, or None for
+    every row.  Each group's rows are formatted once, and each file holds the
+    bytes `write_dataset_csv` writes for the dataset of its rows.
     """
-    with (
-        Path(dataset_path).open("w", newline="") as full,
-        Path(train_path).open("w", newline="") as train,
-        Path(test_path).open("w", newline="") as test,
-    ):
-        for fh in (full, train, test):
-            fh.write(_dataset_header(d.p))
-        for g, held in zip(d.groups, np.split(test_rows, np.cumsum(d.n_r)[:-1])):
-            lines = _dataset_lines(g)
-            full.write("".join(lines))
-            train.write("".join(compress(lines, ~held)))
-            test.write("".join(compress(lines, held)))
+    header = ",".join(["group", "y"] + [f"x{j + 1}" for j in range(d.p)]) + "\n"
+    starts = np.cumsum(d.n_r)[:-1]
+    with ExitStack() as stack:
+        files = []
+        for path, rows in outputs:
+            fh = stack.enter_context(Path(path).open("w", newline=""))
+            fh.write(header)
+            files.append((fh, None if rows is None else np.split(rows, starts)))
+        for r, g in enumerate(d.groups):
+            values = np.column_stack([g.responses, g.features])
+            lines = _csv_lines(_csv_field(g.id) + ",", values, "")
+            for fh, masks in files:
+                fh.write("".join(lines if masks is None else compress(lines, masks[r])))
 
 
 def write_model_json(result: FitResult, path) -> None:

@@ -4,7 +4,6 @@ import argparse
 import hashlib
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +15,6 @@ import pytest
 import scipy
 
 import gmr.io
-from gmr import cli
 from gmr.cli import build_parser, main
 from gmr.em import InitStrategy
 
@@ -259,18 +257,6 @@ def test_config_keys_are_the_em_config_field_names(sim_dir, tmp_path, capsys):
     assert run(fit_args + ["--out", str(tmp_path / "c.json")]) == 2
     assert capsys.readouterr().err == "error: unknown config keys: ['restarts']\n"
 
-    # select-k has no --config flag; its config keys are the same field names.
-    sel = build_parser().parse_args(
-        ["select-k", "--data", str(sim_dir / "train.csv"), "--k-grid", "1,2", "--reps", "2",
-         "--seed", "4", "--out", str(tmp_path / "r.json")]
-    )
-    sel.config = str(conf)
-    conf.write_text(json.dumps({"n_restarts": 2}))
-    assert sel.func(sel) == 0
-    conf.write_text(json.dumps({"restarts": 2}))
-    with pytest.raises(cli._UsageError, match=re.escape("unknown config keys: ['restarts']")):
-        sel.func(sel)
-
 
 @pytest.mark.parametrize(
     "command, required",
@@ -369,6 +355,25 @@ def test_benchmark_bad_em_settings_exit_2(tmp_path, capsys):
     out = tmp_path / "results.jsonl"
     assert run(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
     assert "n_restarts must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", [120.0]), ("K", True), ("n_reps", 1.5), ("seed", 1.5)]
+)
+def test_benchmark_non_integer_spec_value_exit_2(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "K": 2, "p": 2, "G": 4, "n": 60, "sigma": 1.0,
+                "delta_beta": 8.0, "n_reps": 1, "restarts": 1, "seed": 13, field: value,
+            }
+        )
+    )
+    out = tmp_path / "results.jsonl"
+    assert run(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be an integer\n"
     assert not out.exists()
 
 
