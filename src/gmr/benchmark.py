@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import _check_integer, _check_integers
+from .data import _check_fields, _check_integer, _check_real
 from .em import EmConfig, fit
 from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
@@ -74,12 +74,14 @@ class BenchmarkSpec:
     def __post_init__(self):
         for name in _GRID_FIELDS:
             values = _as_tuple(getattr(self, name))
-            for value in values if name in ("n", "K", "p", "G") else ():
-                _check_integer(name, value)
+            rule = _check_real if name in ("sigma", "delta_beta") else _check_integer
+            for value in values:
+                rule(name, value)
             if not values or any(v <= 0 for v in values):
                 raise ValueError(f"grid values for {name} must be positive and non-empty")
             object.__setattr__(self, name, values)
-        _check_integers(self, ("n_reps", "seed"), optional=("seed",))
+        _check_fields(self, _check_integer, ("n_reps", "seed"), optional=("seed",))
+        _check_real("test_frac", self.test_frac)
         if self.n_reps < 1:
             raise ValueError("n_reps must be at least 1")
         if not 0.0 < self.test_frac < 1.0:

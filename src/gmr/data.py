@@ -57,12 +57,22 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer")
 
 
-def _check_integers(cfg, names, optional=()) -> None:
-    """`_check_integer` on each field of ``cfg`` in ``names``; those in ``optional`` may be None."""
+def _check_real(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number.
+
+    Python and numpy integers and floats pass; ``bool``, ``str`` and ``None``
+    do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number")
+
+
+def _check_fields(cfg, rule, names, optional=()) -> None:
+    """``rule(name, value)`` on each field of ``cfg`` in ``names``; those in ``optional`` may be None."""
     for name in names:
         value = getattr(cfg, name)
         if value is not None or name not in optional:
-            _check_integer(name, value)
+            rule(name, value)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,25 @@ The M-steps are closed forms in the group statistics cached on the dataset
 (`compute_group_stats`): pi is the mean responsibility, beta_k solves a
 weighted normal-equation system pooled over groups, and sigma2_k is a weighted
 average of per-group mean squared residuals.  Those residuals come from each
-group's (p+1) x (p+1) triangular factor (`GroupedDataset.factors`), the same
-way in `log_joint` and in `m_step_sigma2`.  Group weights enter only through
-w_rk = n_r * tau_rk and its column normalization, so an iteration costs
-O(R K p^2) regardless of the raw observation count: one matrix product for
-the residuals, one batched Cholesky factorization for the K beta systems and
-one log-sum-exp for both the log-likelihood and the responsibilities.
+group's (p+1) x (p+1) triangular factor (`GroupedDataset.factors`).  Group
+weights enter only through w_rk = n_r * tau_rk and its column normalization,
+so an iteration costs O(R K p^2) regardless of the raw observation count.
+
+All restarts of a fit iterate in lockstep (`_run_restarts`).  Their
+responsibilities form one (S, K, R) stack over the S restarts still active;
+it is cluster-major, because numpy reduces a short last axis row by row,
+several times slower than across contiguous rows, and the E-step reduces over
+clusters.  The private kernels take such a leading restart axis wherever
+they say (..., K, R).  Each iteration makes one pooled (S*K, p, p) system build,
+one batched Cholesky factorization, one residual product shared by the sigma2
+update and the E-step, and one log-sum-exp over the cluster axis.  A restart
+leaves the active set when it converges, reaches ``max_iter``, empties a
+cluster or keeps a singular system through the ridge ladder; the others go on
+without it and compute exactly what they would compute alone.  Nothing is
+validated inside the loop: `fit` checks the winner once, when it builds the
+`FitResult`.  The public `m_step_pi`, `m_step_beta`, `m_step_sigma2`,
+`log_joint` and `e_step` are the one-restart case of the same private kernels,
+so each formula lives in one place.
 """
 
 from __future__ import annotations
@@ -32,13 +45,17 @@ from .data import (
     GroupedDataset,
     ModelParams,
     Responsibilities,
-    _check_integers,
+    _check_fields,
+    _check_integer,
+    _check_real,
+    _readonly,
     compute_group_stats,
 )
 from .errors import (
     AllRestartsFailedError,
     DimensionMismatchError,
     EmptyClusterError,
+    GmrError,
     NonFiniteError,
     SingularSystemError,
     TooFewGroupsError,
@@ -86,7 +103,6 @@ MIN_CLUSTER_GROUPS = 2.5
 InitStrategy = Literal["random_hard", "random_soft", "kmeans_on_group_coefs"]
 _HARD_STRATEGIES = ("random_hard", "kmeans_on_group_coefs")
 
-
 @dataclass(frozen=True)
 class EmConfig:
     """Settings for `fit`.
@@ -101,9 +117,10 @@ class EmConfig:
     max_iter : int
         Iteration cap per restart.
     n_restarts : int
-        Independent initializations; the restart with the highest final
-        observed-data log-likelihood wins, among the restarts without a
-        spurious cluster if there are any (see `fit`).
+        Independent initializations, iterated in lockstep; the restart with
+        the highest final observed-data log-likelihood wins, among the
+        restarts without a spurious cluster if there are any (see `fit`).
+        Each restart's result is the one it would reach alone.
     init : str
         Initialization strategy, see `init_responsibilities`.
     sigma2_floor : float or None
@@ -115,6 +132,10 @@ class EmConfig:
         singular.
     seed : int or None
         Master seed; per-restart seeds are derived from it deterministically.
+
+    Counts must be integers and ``epsilon``, ``ridge`` and ``sigma2_floor``
+    numbers (``bool`` is neither); a violation raises ``ValueError`` naming
+    the field.
     """
 
     K: int
@@ -127,7 +148,10 @@ class EmConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_integers(self, ("K", "max_iter", "n_restarts", "seed"), optional=("seed",))
+        _check_fields(self, _check_integer, ("K", "max_iter", "n_restarts", "seed"),
+                      optional=("seed",))
+        _check_fields(self, _check_real, ("epsilon", "ridge", "sigma2_floor"),
+                      optional=("sigma2_floor",))
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if not self.epsilon > 0:
@@ -164,33 +188,45 @@ class FitResult:
     ll_trace: NDArray[np.float64] | None
 
 
-def _mean_sq_residuals(factors: np.ndarray, beta: np.ndarray) -> NDArray[np.float64]:
-    """Per-group mean squared residual under each cluster's coefficients, (R, K).
+def _mean_sq_residuals(factors: np.ndarray, coefs: np.ndarray) -> NDArray[np.float64]:
+    """Per-group mean squared residual under each cluster's coefficients, (..., K, R).
 
-    ``E_rk = ||T_r [beta_k; -1]||^2`` with T_r the triangular factor of group
-    r's scaled rows ``[X_r | y_r] / sqrt(n_r)``; one matrix product serves all
-    groups and clusters.  The result is the transpose of a cluster-major
-    (K, R) array: numpy reduces a short last axis row by row, several times
-    slower than across contiguous rows, and the E-step reduces over clusters.
+    ``coefs`` is (..., K, p).  ``E_kr = ||T_r [coefs_k; -1]||^2`` with T_r the
+    triangular factor of group r's scaled rows ``[X_r | y_r] / sqrt(n_r)``; one
+    (K, p+1) x (p+1, R*(p+1)) product per restart serves all its groups and
+    clusters.  A stack gets one such product per restart, not one product of
+    all S*K rows: BLAS picks its kernel, and so its rounding, by matrix size,
+    and a restart's result must not depend on how many others share its stack.
     """
     R, q, _ = factors.shape
-    K = beta.shape[1]
-    augmented = np.vstack([beta, np.full((1, K), -1.0)])  # (p + 1, K)
-    v = (augmented.T @ factors.reshape(R * q, q).T).reshape(K, R, q)
-    return np.einsum("krq,krq->kr", v, v).T
+    augmented = np.empty((*coefs.shape[:-2], q, coefs.shape[-2]))  # (..., p + 1, K)
+    augmented[..., :-1, :] = np.swapaxes(coefs, -1, -2)
+    augmented[..., -1, :] = -1.0
+    v = np.swapaxes(augmented, -1, -2) @ factors.reshape(R * q, q).T
+    v = v.reshape(*v.shape[:-1], R, q)
+    return np.einsum("...rq,...rq->...r", v, v)
 
 
-def _log_normalize(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-sum-exp over the last axis, and the scores normalized to weights.
+def _log_normalize(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp over ``axis``, and the scores normalized to weights.
 
-    Each row is shifted by its maximum before exponentiating, so nothing
+    Each slice is shifted by its maximum before exponentiating, so nothing
     overflows and the largest term is exactly 1.  Entries of ``-inf`` get
-    weight 0; every row needs at least one finite entry.
+    weight 0; every slice needs at least one finite entry.
     """
-    top = np.max(scores, axis=-1, keepdims=True)
+    top = np.max(scores, axis=axis, keepdims=True)
     e = np.exp(scores - top)
-    total = e.sum(axis=-1, keepdims=True)
-    return (top + np.log(total))[..., 0], e / total
+    total = e.sum(axis=axis, keepdims=True)
+    return np.squeeze(top + np.log(total), axis), e / total
+
+
+def _log_joint(n_r: np.ndarray, pi: np.ndarray, sigma2: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Cluster-major log joint (..., K, R) from pi and sigma2 (..., K) and E (..., K, R)."""
+    n_r = n_r.astype(float)
+    with np.errstate(divide="ignore"):  # pi_k == 0 legitimately maps to -inf
+        log_pi = np.log(pi)
+    norm_const = -0.5 * np.log(2.0 * np.pi * sigma2)
+    return log_pi[..., None] + n_r * norm_const[..., None] - n_r * E / (2.0 * sigma2[..., None])
 
 
 def log_joint(stats: GroupedDataset, params: ModelParams) -> NDArray[np.float64]:
@@ -217,14 +253,8 @@ def log_joint(stats: GroupedDataset, params: ModelParams) -> NDArray[np.float64]
         raise DimensionMismatchError(
             f"stats have p={stats.p} but params have p={params.p}"
         )
-    E = _mean_sq_residuals(stats.factors, params.beta)
-    n_r = stats.n_r.astype(float)
-    with np.errstate(divide="ignore"):  # pi_k == 0 legitimately maps to -inf
-        log_pi = np.log(params.pi)
-    norm_const = -0.5 * np.log(2.0 * np.pi * params.sigma2)
-    # Cluster-major like E (see `_mean_sq_residuals`), returned as (R, K).
-    lj = log_pi[:, None] + n_r * norm_const[:, None] - n_r * E.T / (2.0 * params.sigma2[:, None])
-    return lj.T
+    E = _mean_sq_residuals(stats.factors, params.beta.T)
+    return _log_joint(stats.n_r, params.pi, params.sigma2, E).T
 
 
 def e_step(log_joint_matrix: NDArray[np.float64]) -> Responsibilities:
@@ -242,9 +272,14 @@ def log_marginal_likelihood(log_joint_matrix: NDArray[np.float64]) -> float:
     return float(_log_normalize(np.asarray(log_joint_matrix, dtype=float))[0].sum())
 
 
+def _m_step_pi(tau: np.ndarray) -> np.ndarray:
+    """Mixture weights (..., K) of cluster-major responsibilities (..., K, R)."""
+    return tau.mean(axis=-1)
+
+
 def m_step_pi(tau: Responsibilities) -> NDArray[np.float64]:
     """Update mixture weights: column means of the responsibility matrix."""
-    return tau.tau.mean(axis=0)
+    return _m_step_pi(tau.tau.T)
 
 
 def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,6 +293,17 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(L, -1, -2), half)[..., 0]
 
 
+def _ridged_solve(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
+    """`_cholesky_solve` of ``(A + lambda I) x = b`` with ``lambda = rel_ridge * trace(A)/p``.
+
+    Works on stacks, each system with its own lambda; raises ``LinAlgError``
+    if some shifted system is not definite.
+    """
+    p = b.shape[-1]
+    scale = np.trace(A, axis1=-2, axis2=-1) / p
+    return _cholesky_solve(A + (rel_ridge * scale)[..., None, None] * np.eye(p), b)
+
+
 def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
     """Solve ``(A + lambda I) x = b`` with A symmetric PSD.
 
@@ -266,12 +312,10 @@ def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
     before `SingularSystemError` is raised.  ``rel_ridge=0`` attempts a plain
     solve first and then enters the escalation ladder at 1e-10.
     """
-    p = A.shape[0]
-    scale = np.trace(A) / p
     lam = rel_ridge
     while True:
         try:
-            return _cholesky_solve(A + lam * scale * np.eye(p), b)
+            return _ridged_solve(A, b, lam)
         except np.linalg.LinAlgError:
             lam = 1e-10 if lam == 0 else lam * 10.0
             if lam > RIDGE_MAX_REL * 1.5:
@@ -286,32 +330,70 @@ def _solve_spd_batch(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarr
     One batched Cholesky call factors all m systems at the first ridge; only
     if it fails does each system go through the escalation of `_solve_spd`.
     """
-    m, p = b.shape
-    scale = np.trace(A, axis1=1, axis2=2) / p
     try:
-        return _cholesky_solve(A + (rel_ridge * scale)[:, None, None] * np.eye(p), b)
+        return _ridged_solve(A, b, rel_ridge)
     except np.linalg.LinAlgError:
-        return np.array([_solve_spd(A[i], b[i], rel_ridge) for i in range(m)])
+        return np.array([_solve_spd(A[i], b[i], rel_ridge) for i in range(b.shape[0])])
 
 
-def _pooled_systems(stats: GroupedDataset, tau: Responsibilities) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster normal-equation matrices (K, p, p) and right-hand sides (K, p).
+def _solve_restarts(
+    A: np.ndarray, b: np.ndarray, rel_ridge: float
+) -> tuple[np.ndarray, dict[int, SingularSystemError]]:
+    """`_solve_spd_batch` for each restart of a stack: A (S, K, p, p), b (S, K, p).
 
-    Raises `EmptyClusterError` as documented in `m_step_beta`.
+    One batched Cholesky call factors all S*K systems.  If it fails, each
+    restart's K systems are solved on their own, so only a restart with a
+    system that does not factor goes down the ridge ladder.  Returns the
+    solutions and, by stack position, the restarts the ladder could not save.
     """
-    n_r = stats.n_r[:, None].astype(float)
-    w = n_r * tau.tau  # (R, K)
-    w_plus = w.sum(axis=0)
-    n_total = float(stats.n_r.sum())
-    if (w_plus < EMPTY_CLUSTER_REL_TOL * n_total).any():
-        k_bad = int(np.argmin(w_plus))
-        raise EmptyClusterError(
-            f"cluster {k_bad} holds weight {w_plus[k_bad]:.3e} of {n_total:.0f} observations"
+    try:
+        return _ridged_solve(A, b, rel_ridge), {}
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros_like(b)
+    lost = {}
+    for s in range(b.shape[0]):
+        try:
+            x[s] = _solve_spd_batch(A[s], b[s], rel_ridge)
+        except SingularSystemError as exc:
+            lost[s] = exc
+    return x, lost
+
+
+def _cluster_weights(n_r: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized group weights (..., K, R) and their sums (..., K).
+
+    ``w_rk = n_r tau_rk`` for cluster-major ``tau``; each cluster's row is
+    divided by its sum ``w_plus``, and a row with no weight stays zero.
+    """
+    w = n_r.astype(float) * tau
+    w_plus = w.sum(axis=-1)
+    return w / np.where(w_plus > 0, w_plus, 1.0)[..., None], w_plus
+
+
+def _empty_clusters(w_plus: np.ndarray, n_total: float) -> dict[int, EmptyClusterError]:
+    """The error of each restart in a stack of pooled weights (S, K) that lost a cluster.
+
+    A cluster is lost when its weight falls below ``1e-12 * n_total``; the
+    error names the restart's lightest cluster.  Keys are stack positions.
+    """
+    lost = {}
+    for s in np.flatnonzero((w_plus < EMPTY_CLUSTER_REL_TOL * n_total).any(axis=-1)):
+        k = int(np.argmin(w_plus[s]))
+        lost[int(s)] = EmptyClusterError(
+            f"cluster {k} holds weight {w_plus[s, k]:.3e} of {n_total:.0f} observations"
         )
-    w_check = (w / w_plus).T  # (K, R)
-    R, p = stats.R, stats.p
-    pooled_sigma = (w_check @ stats.sigma_hat.reshape(R, p * p)).reshape(-1, p, p)
-    return pooled_sigma, w_check @ stats.rho_hat
+    return lost
+
+
+def _pooled_systems(d: GroupedDataset, w_check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-equation matrices (..., K, p, p) and right-hand sides (..., K, p).
+
+    ``w_check`` holds the normalized weights (..., K, R) of `_cluster_weights`.
+    """
+    R, p = d.R, d.p
+    pooled_sigma = w_check @ d.sigma_hat.reshape(R, p * p)
+    return pooled_sigma.reshape(*w_check.shape[:-1], p, p), w_check @ d.rho_hat
 
 
 def m_step_beta(
@@ -338,7 +420,16 @@ def m_step_beta(
     SingularSystemError
         If a system stays unfactorizable through the ridge escalation.
     """
-    return _solve_spd_batch(*_pooled_systems(stats, tau), ridge).T
+    w_check, w_plus = _cluster_weights(stats.n_r, tau.tau.T)
+    lost = _empty_clusters(w_plus[None], float(stats.n_r.sum()))
+    if lost:
+        raise lost[0]
+    return _solve_spd_batch(*_pooled_systems(stats, w_check), ridge).T
+
+
+def _m_step_sigma2(w_check: np.ndarray, E: np.ndarray, floor: float) -> np.ndarray:
+    """Noise variances (..., K) from normalized weights and mean squared residuals (..., K, R)."""
+    return np.maximum(floor, np.einsum("...kr,...kr->...k", w_check, E))
 
 
 def m_step_sigma2(
@@ -355,12 +446,9 @@ def m_step_sigma2(
     keeps every variance strictly positive even when a cluster interpolates
     its groups exactly.
     """
-    E = _mean_sq_residuals(d.factors, beta)
-    w = d.n_r[:, None].astype(float) * tau.tau
-    w_plus = w.sum(axis=0)
-    safe = np.where(w_plus > 0, w_plus, 1.0)  # empty column -> weighted sum 0 -> floor
-    sigma2 = np.einsum("rk,rk->k", w / safe, E)
-    return np.maximum(floor, sigma2)
+    w_check, _ = _cluster_weights(d.n_r, tau.tau.T)
+    E = _mean_sq_residuals(d.factors, np.asarray(beta, dtype=float).T)
+    return _m_step_sigma2(w_check, E, floor)
 
 
 def _repair_hard_labels(labels: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -469,37 +557,122 @@ def init_responsibilities(
     return Responsibilities(np.eye(K)[labels])
 
 
-def _run_restart(
-    d: GroupedDataset, cfg: EmConfig, strategy: InitStrategy, floor: float, seed
-) -> FitResult:
-    tau = init_responsibilities(d.R, cfg.K, strategy, seed, stats=d)
-    ll_trace = np.empty(cfg.max_iter)
-    converged = False
-    n_iter = 0
-    for t in range(cfg.max_iter):
-        pi = m_step_pi(tau)
-        beta = m_step_beta(d, tau, cfg.ridge)
-        sigma2 = m_step_sigma2(d, tau, beta, floor)
-        params = ModelParams(pi=pi, beta=beta, sigma2=sigma2)
-        row_ll, posterior = _log_normalize(log_joint(d, params))
-        ll_trace[t] = row_ll.sum()
-        new_tau = Responsibilities(posterior)
-        delta = np.abs(new_tau.tau - tau.tau).max()
-        tau = new_tau
-        n_iter = t + 1
-        if delta < cfg.epsilon:
-            converged = True
+@dataclass(frozen=True)
+class _Restart:
+    """Final state of one restart, not yet validated (see `_fit_result`).
+
+    ``beta`` is (p, K), ``tau`` is (R, K) and ``ll_trace`` holds the
+    log-likelihood after each iteration.
+    """
+
+    pi: np.ndarray
+    beta: np.ndarray
+    sigma2: np.ndarray
+    tau: np.ndarray
+    ll_trace: np.ndarray
+    converged: bool
+
+    @property
+    def log_likelihood(self) -> float:
+        return float(self.ll_trace[-1])
+
+    @property
+    def min_cluster_groups(self) -> float:
+        """Groups' worth of responsibility in the lightest cluster, ``min_k sum_r tau_rk``."""
+        return float(self.tau.sum(axis=0).min())
+
+
+def _abandon(outcomes: list, lost: dict, live: np.ndarray, *stacks: np.ndarray) -> tuple:
+    """Record each lost restart's error and drop it from ``live`` and from every stack."""
+    keep = np.ones(live.size, dtype=bool)
+    for s, exc in lost.items():
+        outcomes[live[s]] = exc
+        keep[s] = False
+    return live[keep], *(a[keep] for a in stacks)
+
+
+def _run_restarts(
+    d: GroupedDataset, cfg: EmConfig, strategy: InitStrategy, floor: float, seeds
+) -> list[_Restart | GmrError]:
+    """Run one EM restart per seed, all in lockstep; returns their outcomes in seed order.
+
+    A restart that converges or reaches ``cfg.max_iter`` ends as a
+    `_Restart`; one that empties a cluster or keeps a singular system
+    through the ridge ladder ends as that error.  Either way it leaves the
+    active set.  Every product, factorization and reduction acts on one
+    restart's slice of the stack, so a restart computes exactly what it
+    would alone: the call with one seed is the one-restart fit.
+    """
+    outcomes: list = [None] * len(seeds)
+    taus = []
+    for i, seed in enumerate(seeds):
+        try:
+            taus.append(init_responsibilities(d.R, cfg.K, strategy, seed, stats=d).tau)
+        except (EmptyClusterError, SingularSystemError) as exc:
+            outcomes[i] = exc
+    live = np.flatnonzero([outcome is None for outcome in outcomes])
+    if not taus:
+        return outcomes
+    # The memory keeps init's (S, R, K) order until the first E-step, as a
+    # restart run alone would.
+    tau = np.stack(taus).swapaxes(1, 2)
+    n_total = float(d.n_r.sum())
+    traces: list[list[float]] = [[] for _ in seeds]
+    for t in range(1, cfg.max_iter + 1):
+        pi = _m_step_pi(tau)
+        w_check, w_plus = _cluster_weights(d.n_r, tau)
+        lost = _empty_clusters(w_plus, n_total)
+        if lost:
+            live, tau, pi, w_check = _abandon(outcomes, lost, live, tau, pi, w_check)
+        coefs, lost = _solve_restarts(*_pooled_systems(d, w_check), cfg.ridge)
+        if lost:
+            live, tau, pi, w_check, coefs = _abandon(
+                outcomes, lost, live, tau, pi, w_check, coefs
+            )
+        E = _mean_sq_residuals(d.factors, coefs)
+        sigma2 = _m_step_sigma2(w_check, E, floor)
+        row_ll, posterior = _log_normalize(_log_joint(d.n_r, pi, sigma2, E), axis=-2)
+        delta = np.abs(posterior - tau).max(axis=(1, 2))
+        for i, ll in zip(live, row_ll.sum(axis=-1).tolist()):
+            traces[i].append(ll)
+        converged = delta < cfg.epsilon
+        done = converged | (t == cfg.max_iter)
+        for s in np.flatnonzero(done):
+            outcomes[live[s]] = _Restart(
+                pi=pi[s],
+                beta=coefs[s].T,
+                sigma2=sigma2[s],
+                tau=posterior[s].T,
+                ll_trace=_readonly(traces[live[s]]),
+                converged=bool(converged[s]),
+            )
+        live, tau = live[~done], posterior[~done]
+        if not live.size:
             break
-    trace = ll_trace[:n_iter].copy()
-    trace.setflags(write=False)
+    return outcomes
+
+
+def _variance_floor(d: GroupedDataset, cfg: EmConfig) -> float:
+    """The sigma2 floor of a fit: ``cfg.sigma2_floor``, else ``1e-8 * var(y)`` over all rows.
+
+    A constant response would zero the relative floor, so it then is 1e-8.
+    """
+    if cfg.sigma2_floor is not None:
+        return cfg.sigma2_floor
+    var_y = float(np.var(np.concatenate([g.responses for g in d.groups])))
+    return VAR_FLOOR_REL * var_y if var_y > 0 else VAR_FLOOR_REL
+
+
+def _fit_result(d: GroupedDataset, restart: _Restart) -> FitResult:
+    """The public, validated form of one restart's final state."""
     return FitResult(
-        params=params,
-        tau=tau,
+        params=ModelParams(pi=restart.pi, beta=restart.beta, sigma2=restart.sigma2),
+        tau=Responsibilities(restart.tau),
         group_ids=d.group_ids,
-        log_likelihood=float(trace[-1]),
-        n_iter=n_iter,
-        converged=converged,
-        ll_trace=trace,
+        log_likelihood=restart.log_likelihood,
+        n_iter=restart.ll_trace.size,
+        converged=restart.converged,
+        ll_trace=restart.ll_trace,
     )
 
 
@@ -508,10 +681,13 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
 
     Each restart initializes responsibilities, then iterates the update cycle
     (pi, beta, sigma2, responsibilities) until the responsibility matrix moves
-    less than ``cfg.epsilon`` in sup norm or ``cfg.max_iter`` is reached.
-    Restarts that lose a cluster or hit an unsolvable system are recorded and
-    skipped.  ``K > R`` is allowed but cannot use a hard initialization, so
-    such fits fall back to ``random_soft`` with a warning.
+    less than ``cfg.epsilon`` in sup norm or ``cfg.max_iter`` is reached.  All
+    restarts iterate in lockstep as one batched kernel over the restarts
+    still active (see `_run_restarts`); each reaches exactly the result it
+    would reach alone.  Restarts that lose a cluster or hit an unsolvable
+    system leave the active set and are recorded and skipped.  ``K > R`` is
+    allowed but cannot use a hard initialization, so such fits fall back to
+    ``random_soft`` with a warning.
 
     The winner is the restart with the highest final log-likelihood among
     those without a spurious cluster, or among all restarts if every one has
@@ -524,6 +700,10 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
     maxima (one or two groups in a small-variance cluster, a wide-variance
     cluster absorbing the rest) beat the generating partition on likelihood
     while they cluster and predict worse.
+
+    Nothing is validated inside the iterations; the winner's parameters and
+    responsibilities are checked once, as `ModelParams` and
+    `Responsibilities`, when the result is built.
 
     Raises
     ------
@@ -542,41 +722,34 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
         if strategy in _HARD_STRATEGIES:
             logger.warning("falling back to random_soft initialization")
             strategy = "random_soft"
-    if cfg.sigma2_floor is not None:
-        floor = cfg.sigma2_floor
-    else:
-        var_y = float(np.var(np.concatenate([g.responses for g in d.groups])))
-        # A constant response would zero the relative floor; keep it positive.
-        floor = VAR_FLOOR_REL * var_y if var_y > 0 else VAR_FLOOR_REL
+    floor = _variance_floor(d, cfg)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_restarts)
-    results: list[FitResult] = []
+    results: list[_Restart] = []
     failures: list[tuple[int, str]] = []
-    for i, child in enumerate(seeds):
-        try:
-            result = _run_restart(d, cfg, strategy, floor, child)
-        except (EmptyClusterError, SingularSystemError) as exc:
-            logger.debug("restart %d abandoned: %s", i, exc)
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
+    for i, outcome in enumerate(_run_restarts(d, cfg, strategy, floor, seeds)):
+        if not isinstance(outcome, _Restart):
+            logger.debug("restart %d abandoned: %s", i, outcome)
+            failures.append((i, f"{type(outcome).__name__}: {outcome}"))
             continue
         logger.debug(
             "restart %d: ll=%.6f iters=%d converged=%s min_cluster_groups=%.2f",
             i,
-            result.log_likelihood,
-            result.n_iter,
-            result.converged,
-            result.tau.tau.sum(axis=0).min(),
+            outcome.log_likelihood,
+            outcome.ll_trace.size,
+            outcome.converged,
+            outcome.min_cluster_groups,
         )
-        results.append(result)
+        results.append(outcome)
     if not results:
         raise AllRestartsFailedError(failures)
     if failures:
         logger.info("%d of %d restarts abandoned", len(failures), cfg.n_restarts)
-    sound = [r for r in results if r.tau.tau.sum(axis=0).min() >= MIN_CLUSTER_GROUPS]
+    sound = [r for r in results if r.min_cluster_groups >= MIN_CLUSTER_GROUPS]
     best = max(sound or results, key=lambda r: r.log_likelihood)
     top_ll = max(r.log_likelihood for r in results)
     if best.log_likelihood < top_ll:
         logger.debug(
             "passed over a spurious maximizer (ll=%.6f) for ll=%.6f", top_ll, best.log_likelihood
         )
-    return best
+    return _fit_result(d, best)

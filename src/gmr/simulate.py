@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.stats import special_ortho_group
 
-from .data import Group, GroupedDataset, _check_integers
+from .data import Group, GroupedDataset, _check_fields, _check_integer, _check_real
 from .errors import GroupTooSmallError, InfeasibleError, TooManyGroupsError
 
 __all__ = [
@@ -67,9 +67,11 @@ class SimConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_integers(
-            self, ("n", "K", "p", "G", "wishart_df", "seed"), optional=("wishart_df", "seed")
+        _check_fields(
+            self, _check_integer, ("n", "K", "p", "G", "wishart_df", "seed"),
+            optional=("wishart_df", "seed"),
         )
+        _check_fields(self, _check_real, ("sigma", "delta_beta"))
         if self.K < 1 or self.p < 1 or self.G < 1:
             raise ValueError("K, p and G must all be at least 1")
         if self.K > self.p + 1:

@@ -299,6 +299,33 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, conf, field",
+    [
+        ("simulate", {"sigma": True}, "sigma"),
+        ("simulate", {"delta_beta": "x"}, "delta_beta"),
+        ("fit", {"epsilon": True}, "epsilon"),
+        ("fit", {"ridge": "x"}, "ridge"),
+        ("fit", {"sigma2_floor": False}, "sigma2_floor"),
+    ],
+)
+def test_config_float_that_is_not_a_number_is_a_usage_error(
+    sim_dir, tmp_path, capsys, command, conf, field
+):
+    path = tmp_path / "conf.json"
+    out = tmp_path / "out"
+    if command == "simulate":
+        conf = {"n": 100, "K": 2, "p": 2, "G": 5, "sigma": 1.0, "delta_beta": 6.0, **conf}
+        args = ["simulate", "--config", str(path), "--out", str(out)]
+    else:
+        args = ["fit", "--config", str(path), "--data", str(sim_dir / "train.csv"), "--K", "2",
+                "--out", str(out)]
+    path.write_text(json.dumps(conf))
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {field} must be a number\n"
+    assert not out.exists()
+
+
 def test_benchmark_jsonl_and_aggregate(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(
@@ -374,6 +401,27 @@ def test_benchmark_non_integer_spec_value_exit_2(tmp_path, capsys, field, value)
     out = tmp_path / "results.jsonl"
     assert run(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {field} must be an integer\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma", True), ("sigma", [1.0, "x"]), ("delta_beta", None), ("test_frac", True),
+     ("epsilon", "x")],
+)
+def test_benchmark_spec_float_that_is_not_a_number_exit_2(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "K": 2, "p": 2, "G": 4, "n": 60, "sigma": 1.0,
+                "delta_beta": 8.0, "n_reps": 1, "restarts": 1, "seed": 13, field: value,
+            }
+        )
+    )
+    out = tmp_path / "results.jsonl"
+    assert run(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be a number\n"
     assert not out.exists()
 
 

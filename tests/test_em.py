@@ -17,11 +17,13 @@ from gmr import (
     GroupedDataset,
     ModelParams,
     Responsibilities,
+    SimConfig,
     SingularSystemError,
     TooFewGroupsError,
     compute_group_stats,
     e_step,
     fit,
+    generate,
     init_responsibilities,
     log_joint,
     log_marginal_likelihood,
@@ -263,7 +265,7 @@ def test_m_step_beta_ridge_rescues_duplicate_columns():
 
 def per_system_beta(stats, tau, ridge):
     """Reference for `m_step_beta`: each cluster's system through `_solve_spd`."""
-    pooled_sigma, pooled_rho = em._pooled_systems(stats, tau)
+    pooled_sigma, pooled_rho = em._pooled_systems(stats, em._cluster_weights(stats.n_r, tau.tau.T)[0])
     return np.column_stack(
         [em._solve_spd(pooled_sigma[k], pooled_rho[k], ridge) for k in range(tau.K)]
     )
@@ -499,11 +501,11 @@ def test_fit_all_restarts_failed():
 
 
 def _restarts(d, cfg):
-    """Every restart `fit` runs for ``cfg``, in order, none abandoned."""
+    """Every restart `fit` runs for ``cfg``, in order, each run alone; none abandoned."""
     compute_group_stats(d)
-    floor = em.VAR_FLOOR_REL * float(np.var(d.stacked[0]))
+    floor = em._variance_floor(d, cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_restarts)
-    return [em._run_restart(d, cfg, cfg.init, floor, c) for c in children]
+    return [em._fit_result(d, *em._run_restarts(d, cfg, cfg.init, floor, [c])) for c in children]
 
 
 def test_fit_passes_over_spurious_maximizer():
@@ -538,6 +540,145 @@ def test_fit_keeps_best_likelihood_when_every_restart_is_spurious():
     restarts = _restarts(d, cfg)
     assert all(r.tau.tau.sum(axis=0).min() < em.MIN_CLUSTER_GROUPS for r in restarts)
     assert fit(d, cfg).log_likelihood == max(r.log_likelihood for r in restarts)
+
+
+# ------------------------------------------------------- lockstep restarts
+
+
+def _lockstep_and_alone(d, cfg):
+    """`fit`'s restarts run together, and each one run alone, for ``cfg``."""
+    compute_group_stats(d)
+    strategy = "random_soft" if cfg.K > d.R else cfg.init  # fit's K > R fallback
+    floor = em._variance_floor(d, cfg)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_restarts)
+    together = em._run_restarts(d, cfg, strategy, floor, seeds)
+    alone = [em._run_restarts(d, cfg, strategy, floor, [s])[0] for s in seeds]
+    return together, alone
+
+
+def _assert_same_outcome(a, b):
+    assert type(a) is type(b)
+    if not isinstance(a, em._Restart):
+        assert str(a) == str(b)
+        return
+    assert (a.ll_trace.size, a.converged) == (b.ll_trace.size, b.converged)
+    assert_allclose(a.log_likelihood, b.log_likelihood, rtol=1e-12, atol=0)
+    assert_allclose(a.tau, b.tau, rtol=0, atol=1e-12)
+
+
+def _two_lines(seed, groups_per_line, rows, noise):
+    # Groups of ``rows`` rows on the lines y = -3 x1 + 2 x2 and y = 3 x1 - 2 x2.
+    rng = np.random.default_rng(seed)
+    groups = []
+    for b in ([-3.0, 2.0], [3.0, -2.0]):
+        for _ in range(groups_per_line):
+            X = rng.normal(size=(rows, 2))
+            groups.append((X @ b + noise * rng.normal(size=rows), X))
+    return make_dataset(groups)
+
+
+@pytest.mark.parametrize("init", ["random_hard", "random_soft", "kmeans_on_group_coefs"])
+def test_each_lockstep_restart_matches_its_run_alone(init):
+    d, _ = generate(SimConfig(n=600, K=3, p=3, G=10, sigma=4.0, delta_beta=6.0, seed=4))
+    together, alone = _lockstep_and_alone(d, EmConfig(K=3, n_restarts=10, init=init, seed=5))
+    for a, b in zip(together, alone):
+        _assert_same_outcome(a, b)
+    # The restarts left the active set at different iterations.
+    assert len({o.ll_trace.size for o in together}) >= 3
+
+
+def test_each_lockstep_restart_matches_its_run_alone_when_k_exceeds_r():
+    # Eight clusters over five groups run from random_soft starts; one
+    # restart stops at max_iter.
+    d = random_dataset(np.random.default_rng(1), R=5, p=2, n_lo=3, n_hi=8)
+    together, alone = _lockstep_and_alone(d, EmConfig(K=8, n_restarts=10, seed=5))
+    for a, b in zip(together, alone):
+        _assert_same_outcome(a, b)
+    assert [o.converged for o in together].count(False) == 1
+
+
+def test_lockstep_restarts_do_not_depend_on_their_siblings():
+    d, _ = generate(SimConfig(n=600, K=3, p=3, G=10, sigma=2.0, delta_beta=6.0, seed=4))
+    compute_group_stats(d)
+    floor = em._variance_floor(d, EmConfig(K=3))
+    ten = em._run_restarts(d, EmConfig(K=3, n_restarts=10, seed=6), "random_hard", floor,
+                           np.random.SeedSequence(6).spawn(10))
+    three = em._run_restarts(d, EmConfig(K=3, n_restarts=3, seed=6), "random_hard", floor,
+                             np.random.SeedSequence(6).spawn(3))
+    for a, b in zip(ten[:3], three):
+        assert (a.ll_trace == b.ll_trace).all() and a.converged == b.converged
+        for name in ("pi", "beta", "sigma2", "tau"):
+            assert (getattr(a, name) == getattr(b, name)).all()
+
+
+def test_restart_that_empties_a_cluster_leaves_its_siblings_running(caplog):
+    # Restarts 2 and 4 lose a cluster in their third iteration, after
+    # restart 0 has converged, so they sit at stack positions 1 and 3; the
+    # other four converge after 2 to 30 iterations.
+    d = _two_lines(0, groups_per_line=3, rows=20, noise=0.01)
+    cfg = EmConfig(K=3, n_restarts=6, init="random_soft", seed=0)
+    together, alone = _lockstep_and_alone(d, cfg)
+    for a, b in zip(together, alone):
+        _assert_same_outcome(a, b)
+    lost = [i for i, o in enumerate(together) if isinstance(o, EmptyClusterError)]
+    assert lost == [2, 4]
+    assert all(together[i].converged for i in (0, 1, 3, 5))
+    assert together[0].ll_trace.size < 3
+    short = EmConfig(K=3, n_restarts=6, init="random_soft", max_iter=2, seed=0)
+    floor = em._variance_floor(d, cfg)
+    seeds = np.random.SeedSequence(0).spawn(6)
+    for i in lost:  # still running after two iterations
+        assert isinstance(em._run_restarts(d, short, "random_soft", floor, [seeds[i]])[0],
+                          em._Restart)
+
+    with caplog.at_level(logging.DEBUG, logger="gmr.em"):
+        res = fit(d, cfg)
+    abandoned = [m for m in caplog.messages if "abandoned:" in m]
+    assert abandoned == [f"restart {i} abandoned: {together[i]}" for i in lost]
+    best = max((o for o in together if isinstance(o, em._Restart)),
+               key=lambda o: o.log_likelihood)
+    assert res.log_likelihood == best.log_likelihood
+    assert (res.tau.tau == best.tau).all()
+
+
+def test_only_the_restart_with_a_singular_system_meets_the_ridge_ladder(monkeypatch):
+    # Group 0's two feature columns are the same +-1 column, so a cluster
+    # holding group 0 alone has an exactly singular system at ridge 0.
+    rng = np.random.default_rng(23)
+    x = rng.choice([-1.0, 1.0], size=4)
+    groups = [(rng.normal(size=4), np.column_stack([x, x]))]
+    groups += [(rng.normal(size=4), rng.normal(size=(4, 2))) for _ in range(5)]
+    d = compute_group_stats(make_dataset(groups))
+    cfg = EmConfig(K=2, n_restarts=4, seed=7, ridge=0.0, max_iter=1)
+    seeds = np.random.SeedSequence(7).spawn(4)
+    taus = [init_responsibilities(d.R, 2, "random_hard", s).tau for s in seeds]
+    isolating = [i for i, t in enumerate(taus) if (t.argmax(axis=1) == t[0].argmax()).sum() == 1]
+    assert len(isolating) == 1
+    expected, _ = em._pooled_systems(d, em._cluster_weights(d.n_r, taus[isolating[0]].T)[0])
+
+    calls = []
+    real = em._solve_spd
+    monkeypatch.setattr(em, "_solve_spd", lambda *a: calls.append(a) or real(*a))
+    together = em._run_restarts(d, cfg, "random_hard", 1e-8, seeds)
+    assert len(calls) == 2
+    for (A, _, _), A_k in zip(calls, expected):
+        assert (A == A_k).all()
+    monkeypatch.setattr(em, "_solve_spd", real)
+    for s, outcome in zip(seeds, together):
+        _assert_same_outcome(outcome, em._run_restarts(d, cfg, "random_hard", 1e-8, [s])[0])
+
+
+def test_all_restarts_failed_reasons_keep_restart_order():
+    # Every restart loses a cluster: restart 0 in its fourth iteration,
+    # restarts 1 and 2 in their third.
+    d = _two_lines(49, groups_per_line=3, rows=20, noise=0.01)
+    cfg = EmConfig(K=3, n_restarts=3, init="random_soft", seed=49)
+    together, _ = _lockstep_and_alone(d, cfg)
+    with pytest.raises(AllRestartsFailedError) as exc_info:
+        fit(d, cfg)
+    assert exc_info.value.reasons == [
+        (i, f"EmptyClusterError: {exc}") for i, exc in enumerate(together)
+    ]
 
 
 def test_fit_group_ids_follow_dataset_order():
@@ -619,4 +760,14 @@ def test_em_config_validation():
 def test_em_config_rejects_non_integer_counts(field, value):
     EmConfig(K=np.int64(2), max_iter=np.int32(5), seed=np.uint32(3))  # numpy integers pass
     with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        EmConfig(**{"K": 2, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epsilon", True), ("epsilon", None), ("ridge", "x"), ("sigma2_floor", False)],
+)
+def test_em_config_rejects_settings_that_are_not_numbers(field, value):
+    EmConfig(K=2, epsilon=np.float32(1e-3), ridge=0, sigma2_floor=np.float64(1e-6))  # reals pass
+    with pytest.raises(ValueError, match=f"^{field} must be a number$"):
         EmConfig(**{"K": 2, field: value})

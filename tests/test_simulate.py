@@ -52,6 +52,16 @@ def test_config_rejects_non_integer_counts(field, value):
         SimConfig(**{**good, field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value", [("sigma", True), ("sigma", "x"), ("delta_beta", None), ("delta_beta", False)]
+)
+def test_config_rejects_floats_that_are_not_numbers(field, value):
+    good = dict(n=100, K=2, p=2, G=5, sigma=1.0, delta_beta=1.0)
+    SimConfig(**{**good, "sigma": np.float32(1.5), "delta_beta": 2})  # numpy and Python reals pass
+    with pytest.raises(ValueError, match=f"^{field} must be a number$"):
+        SimConfig(**{**good, field: value})
+
+
 def test_simplex_antipodal_pair():
     b = simplex_betas(2, 3, 6.0, seed=0)
     assert_allclose(b[:, 0], -b[:, 1], atol=1e-9)
