@@ -207,17 +207,26 @@ def _mean_sq_residuals(factors: np.ndarray, coefs: np.ndarray) -> NDArray[np.flo
     return np.einsum("...rq,...rq->...r", v, v)
 
 
-def _log_normalize(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Log-sum-exp over ``axis``, and the scores normalized to weights.
+def _log_sum_exp(
+    scores: np.ndarray, axis: int = -1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-sum-exp over ``axis``, with the exponentials and their sums it was built from.
 
     Each slice is shifted by its maximum before exponentiating, so nothing
-    overflows and the largest term is exactly 1.  Entries of ``-inf`` get
-    weight 0; every slice needs at least one finite entry.
+    overflows and the largest term is exactly 1.  Entries of ``-inf`` give
+    exponentials of 0; every slice needs at least one finite entry.  The sums
+    keep ``axis`` as a dimension of length 1.
     """
     top = np.max(scores, axis=axis, keepdims=True)
     e = np.exp(scores - top)
     total = e.sum(axis=axis, keepdims=True)
-    return np.squeeze(top + np.log(total), axis), e / total
+    return np.squeeze(top + np.log(total), axis), e, total
+
+
+def _log_normalize(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp over ``axis``, and the scores normalized to weights (see `_log_sum_exp`)."""
+    lse, e, total = _log_sum_exp(scores, axis)
+    return lse, e / total
 
 
 def _log_joint(n_r: np.ndarray, pi: np.ndarray, sigma2: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -269,7 +278,7 @@ def e_step(log_joint_matrix: NDArray[np.float64]) -> Responsibilities:
 
 def log_marginal_likelihood(log_joint_matrix: NDArray[np.float64]) -> float:
     """Observed-data log-likelihood: sum over groups of logsumexp over clusters."""
-    return float(_log_normalize(np.asarray(log_joint_matrix, dtype=float))[0].sum())
+    return float(_log_sum_exp(np.asarray(log_joint_matrix, dtype=float))[0].sum())
 
 
 def _m_step_pi(tau: np.ndarray) -> np.ndarray:
@@ -511,6 +520,21 @@ def _fill_empty_clusters(labels: np.ndarray, d2: np.ndarray, K: int) -> np.ndarr
     return labels
 
 
+def _group_coefs(stats: GroupedDataset) -> np.ndarray:
+    """Per-group ridge coefficients (R, p) that the k-means start clusters.
+
+    Group r solves ``(sigma_hat_r + lambda I) c = rho_hat_r`` with
+    ``lambda = 1e-6 * trace(sigma_hat_r)/p``.  They depend only on the
+    dataset, so a fit solves them once for all its restarts.
+    """
+    return _solve_spd_batch(stats.sigma_hat, stats.rho_hat, GROUP_COEF_RIDGE_REL)
+
+
+def _kmeans_start(coefs: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """Indicator rows (R, K) of the k-means labels of the group coefficients ``coefs``."""
+    return np.eye(K)[_kmeans(coefs, K, rng)]
+
+
 def init_responsibilities(
     R: int,
     K: int,
@@ -546,15 +570,12 @@ def init_responsibilities(
     if R < K:
         raise TooFewGroupsError(f"{strategy} needs R >= K, got R={R}, K={K}")
     if strategy == "random_hard":
-        labels = _repair_hard_labels(rng.integers(K, size=R), K, rng)
-    elif strategy == "kmeans_on_group_coefs":
+        return Responsibilities(np.eye(K)[_repair_hard_labels(rng.integers(K, size=R), K, rng)])
+    if strategy == "kmeans_on_group_coefs":
         if stats is None:
             raise ValueError("kmeans_on_group_coefs requires group stats")
-        coefs = _solve_spd_batch(stats.sigma_hat, stats.rho_hat, GROUP_COEF_RIDGE_REL)
-        labels = _kmeans(coefs, K, rng)
-    else:
-        raise ValueError(f"unknown init strategy {strategy!r}")
-    return Responsibilities(np.eye(K)[labels])
+        return Responsibilities(_kmeans_start(_group_coefs(stats), K, rng))
+    raise ValueError(f"unknown init strategy {strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -601,13 +622,19 @@ def _run_restarts(
     through the ridge ladder ends as that error.  Either way it leaves the
     active set.  Every product, factorization and reduction acts on one
     restart's slice of the stack, so a restart computes exactly what it
-    would alone: the call with one seed is the one-restart fit.
+    would alone: the call with one seed is the one-restart fit.  The group
+    coefficients of k-means starts are solved once, for all restarts.
     """
     outcomes: list = [None] * len(seeds)
     taus = []
+    coefs = None
     for i, seed in enumerate(seeds):
         try:
-            taus.append(init_responsibilities(d.R, cfg.K, strategy, seed, stats=d).tau)
+            if strategy == "kmeans_on_group_coefs":
+                coefs = _group_coefs(d) if coefs is None else coefs
+                taus.append(_kmeans_start(coefs, cfg.K, np.random.default_rng(seed)))
+            else:
+                taus.append(init_responsibilities(d.R, cfg.K, strategy, seed, stats=d).tau)
         except (EmptyClusterError, SingularSystemError) as exc:
             outcomes[i] = exc
     live = np.flatnonzero([outcome is None for outcome in outcomes])

@@ -5,17 +5,25 @@ regressions with that group's posterior row: the predictive density is a
 K-component Gaussian mixture and the point prediction is its mean.  Ignoring
 the group and mixing with the prior weights instead gives the plain mixture
 baseline used for comparison.
+
+`predict_groups` looks up every test group's posterior row once, then
+evaluates groups of equal size together: one stacked product gives the
+component means of a whole block of groups, another their point
+predictions, and one log-sum-exp their predictive densities.  A block holds
+at most ``BLOCK_ROWS`` rows, so memory stays bounded by the block, not by
+the dataset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .data import GroupedDataset, ModelParams
-from .em import FitResult, _log_normalize
+from .em import FitResult, _log_sum_exp
 from .errors import DimensionMismatchError, UnknownGroupError
 
 __all__ = [
@@ -29,18 +37,22 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Most rows `predict_groups` evaluates in one block (a single group larger
+# than this is a block of its own).
+BLOCK_ROWS = 4096
+
 
 def _log_mixture_density(y, weights, means, sigmas2) -> np.ndarray:
     """``log sum_k w_k N(y; means[..., k], sigmas2[k])`` for every entry of ``y``.
 
-    ``means`` has ``y``'s shape plus a trailing axis of length K; zero
-    weights drop out exactly.
+    ``means`` has ``y``'s shape plus a trailing axis of length K, and
+    ``weights`` broadcasts against ``means``; zero weights drop out exactly.
     """
     z = y[..., None] - means
     log_comp = -0.5 * (_LOG_2PI + np.log(sigmas2)) - z * z / (2.0 * sigmas2)
     with np.errstate(divide="ignore"):  # zero weights drop out as -inf
         log_w = np.log(weights)
-    return _log_normalize(log_w + log_comp)[0]
+    return _log_sum_exp(log_w + log_comp)[0]
 
 
 @dataclass(frozen=True)
@@ -142,10 +154,15 @@ def predict_groups(
     ``on_unknown`` selects the behavior: ``"error"`` raises, ``"prior"`` falls
     back to mixing with pi (the observations are flagged in the output).
 
+    Groups of equal size are evaluated together, in blocks of at most
+    ``BLOCK_ROWS`` rows, and the results are written back in dataset order;
+    each group gets the same bits as it would alone.
+
     Raises
     ------
     UnknownGroupError
-        If a test group id is unknown and ``on_unknown="error"``.
+        If a test group id is unknown and ``on_unknown="error"``; names the
+        first such id in test order.
     DimensionMismatchError
         If the test feature dimension differs from the model's.
     """
@@ -156,30 +173,36 @@ def predict_groups(
         raise DimensionMismatchError(
             f"test data has p={test.p} but the model has p={params.p}"
         )
-    tau_by_id = dict(zip(fit.group_ids, fit.tau.tau))
+    position = {gid: i for i, gid in enumerate(fit.group_ids)}
+    rows = np.array([position.get(gid, -1) for gid in test.group_ids])
+    unknown = rows < 0
+    if unknown.any() and on_unknown == "error":
+        raise UnknownGroupError(test.group_ids[int(np.argmax(unknown))])
+    # One C-contiguous row per test group, whatever the memory order of tau.
+    weights = np.where(unknown[:, None], params.pi, fit.tau.tau[rows])
 
-    ids: list[str] = []
-    pred_parts = []
-    logden_parts = []
-    fallback_parts = []
-    for g in test.groups:
-        row = tau_by_id.get(g.id)
-        fallback = row is None
-        if fallback:
-            if on_unknown == "error":
-                raise UnknownGroupError(g.id)
-            row = params.pi
-        means = g.features @ params.beta  # (n_g, K)
-        pred_parts.append(means @ row)
-        logden_parts.append(_log_mixture_density(g.responses, row, means, params.sigma2))
-        fallback_parts.append(np.full(g.n, fallback))
-        ids.extend([g.id] * g.n)
+    n_r = test.n_r
+    offsets = np.zeros(test.R, dtype=np.intp)
+    np.cumsum(n_r[:-1], out=offsets[1:])
+    y_pred = np.empty(test.n)
+    log_density = np.empty(test.n)
+    for n in np.unique(n_r):
+        idx = np.flatnonzero(n_r == n)
+        step = max(1, BLOCK_ROWS // max(int(n), 1))
+        for start in range(0, idx.size, step):
+            block = idx[start : start + step]
+            X = np.stack([test.groups[r].features for r in block])  # (G, n, p)
+            y = np.stack([test.groups[r].responses for r in block])  # (G, n)
+            w = weights[block]  # (G, K)
+            means = X @ params.beta  # (G, n, K)
+            at = offsets[block, None] + np.arange(n)
+            y_pred[at] = (means @ w[:, :, None])[..., 0]
+            log_density[at] = _log_mixture_density(y, w[:, None, :], means, params.sigma2)
 
-    y_true = np.concatenate([g.responses for g in test.groups])
     return GroupPredictions(
-        group=tuple(ids),
-        y_true=y_true,
-        y_pred=np.concatenate(pred_parts),
-        log_density=np.concatenate(logden_parts),
-        used_fallback=np.concatenate(fallback_parts),
+        group=tuple(chain.from_iterable(repeat(g.id, g.n) for g in test.groups)),
+        y_true=np.concatenate([g.responses for g in test.groups]),
+        y_pred=y_pred,
+        log_density=log_density,
+        used_fallback=np.repeat(unknown, n_r),
     )

@@ -429,6 +429,30 @@ def test_init_kmeans_zero_feature_group_raises_through_ladder(monkeypatch):
     assert len(calls) == 6
 
 
+def test_kmeans_starts_of_a_fit_share_one_solve_of_the_group_systems(monkeypatch):
+    d, _ = generate(SimConfig(n=600, K=3, p=3, G=10, sigma=4.0, delta_beta=6.0, seed=4))
+    solves, starts = [], []
+    real_coefs, real_start = em._group_coefs, em._kmeans_start
+    monkeypatch.setattr(em, "_group_coefs", lambda *a: solves.append(a) or real_coefs(*a))
+    monkeypatch.setattr(em, "_kmeans_start", lambda *a: starts.append(real_start(*a)) or starts[-1])
+    fit(d, EmConfig(K=3, n_restarts=5, init="kmeans_on_group_coefs", seed=8))
+    assert len(solves) == 1 and len(starts) == 5
+    # Each start is the one init_responsibilities draws from the restart's seed.
+    for tau, seed in zip(starts, np.random.SeedSequence(8).spawn(5)):
+        alone = init_responsibilities(d.R, 3, "kmeans_on_group_coefs", seed, stats=d)
+        assert np.array_equal(tau, alone.tau)
+
+
+def test_kmeans_starts_that_cannot_solve_the_group_systems_fail_every_restart():
+    rng = np.random.default_rng(22)
+    groups = [(rng.normal(size=5), rng.normal(size=(5, 2))) for _ in range(5)]
+    groups.append((rng.normal(size=3), np.zeros((3, 2))))
+    with pytest.raises(AllRestartsFailedError) as excinfo:
+        fit(make_dataset(groups), EmConfig(K=2, n_restarts=3, init="kmeans_on_group_coefs"))
+    assert [i for i, _ in excinfo.value.reasons] == [0, 1, 2]
+    assert all(r.startswith("SingularSystemError") for _, r in excinfo.value.reasons)
+
+
 # -------------------------------------------------------------------- fit
 
 

@@ -1,5 +1,8 @@
 """Posterior-predictive density and point predictions."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,16 +11,23 @@ from scipy import stats as scipy_stats
 from gmr import (
     DimensionMismatchError,
     EmConfig,
+    FitResult,
     Group,
     GroupedDataset,
     ModelParams,
+    Responsibilities,
+    SimConfig,
     UnknownGroupError,
     fit,
+    generate,
     map_predict_fmr,
     map_predict_gmr,
     predict_groups,
     predictive_density,
+    train_test_split,
 )
+from gmr.io import read_model_json, write_model_json
+from gmr.predict import BLOCK_ROWS
 
 
 def two_cluster_params():
@@ -172,3 +182,95 @@ def test_predict_groups_rejects_wrong_width():
     bad = GroupedDataset((Group("g0", [1.0], [[1.0, 2.0]]),))
     with pytest.raises(DimensionMismatchError):
         predict_groups(res, bad, on_unknown="error")
+
+
+def block_fixture():
+    """A fit over 1500 groups and a test set that exercises every blocking case.
+
+    The test set holds 1-row groups, more rows of one size (3) than a block
+    holds, a group larger than a block, unknown ids mixed in, and the known
+    groups in a different order from the fit's.  The posteriors are stored in
+    Fortran order, as `fit` leaves them.
+    """
+    rng = np.random.default_rng(7)
+    K, p = 3, 2
+    params = ModelParams(rng.dirichlet(np.ones(K)), rng.normal(size=(p, K)), [0.5, 1.0, 2.0])
+    ids = tuple(f"g{i}" for i in range(1500))
+    tau = np.asfortranarray(rng.dirichlet(np.ones(K), size=len(ids)))
+    res = FitResult(params, Responsibilities(tau), ids, 0.0, 1, True, None)
+    sizes = [3] * 1400 + [1] * 30 + [7] * 5 + [BLOCK_ROWS + 5]
+    names = list(rng.permutation(ids)[: len(sizes)])
+    for j in rng.choice(len(sizes), size=25, replace=False):
+        names[j] = f"new{j}"
+    groups = tuple(
+        Group(name, rng.normal(size=n), rng.normal(size=(n, p)))
+        for name, n in zip(names, rng.permutation(sizes))
+    )
+    return res, GroupedDataset(groups)
+
+
+def test_blocked_predictions_equal_each_group_predicted_alone():
+    res, test = block_fixture()
+    assert 3 * int((test.n_r == 3).sum()) > BLOCK_ROWS
+    preds = predict_groups(res, test, on_unknown="prior")
+    start = 0
+    for g in test.groups:
+        alone = predict_groups(res, GroupedDataset((g,)), on_unknown="prior")
+        part = slice(start, start + g.n)
+        assert np.array_equal(preds.y_pred[part], alone.y_pred)
+        assert np.array_equal(preds.log_density[part], alone.log_density)
+        assert np.array_equal(preds.y_true[part], g.responses)
+        assert preds.group[part] == (g.id,) * g.n
+        assert (preds.used_fallback[part] == g.id.startswith("new")).all()
+        start += g.n
+    assert start == len(preds.group) == preds.y_pred.size == test.n
+
+
+def test_predict_groups_error_names_first_unknown_id_in_test_order():
+    res, test = block_fixture()
+    first = next(g.id for g in test.groups if g.id.startswith("new"))
+    with pytest.raises(UnknownGroupError) as excinfo:
+        predict_groups(res, test, on_unknown="error")
+    assert excinfo.value.args == (first,)
+
+
+def test_fit_and_its_model_json_predict_the_same_bits(tmp_path):
+    path = tmp_path / "model.json"
+    for seed in range(10):
+        d, _ = generate(SimConfig(n=200, K=4, p=4, G=10, sigma=6.0, delta_beta=8.0, seed=seed))
+        train, test = train_test_split(d, 0.2, seed)
+        assert (test.n_r == 1).all()
+        res = fit(train, EmConfig(K=4, seed=seed))
+        write_model_json(res, path)
+        in_memory = predict_groups(res, test)
+        from_json = predict_groups(read_model_json(path), test)
+        assert np.array_equal(in_memory.y_pred, from_json.y_pred)
+        assert np.array_equal(in_memory.log_density, from_json.log_density)
+
+
+def test_predict_groups_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(3)
+    K, p, n_g = 4, 3, 50
+    R = 25 * BLOCK_ROWS // n_g  # 25 blocks of 50-row groups
+    ids = tuple(f"g{i}" for i in range(R))
+    params = ModelParams(np.full(K, 1 / K), rng.normal(size=(p, K)), np.ones(K))
+    res = FitResult(params, Responsibilities(rng.dirichlet(np.ones(K), size=R)), ids,
+                    0.0, 1, True, None)
+    test = GroupedDataset(
+        tuple(Group(i, rng.normal(size=n_g), rng.normal(size=(n_g, p))) for i in ids)
+    )
+    test.n_r  # cached on the dataset, not counted against predict_groups
+    tracemalloc.start()
+    try:
+        preds = predict_groups(res, test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (preds.y_true, preds.y_pred, preds.log_density,
+                                     preds.used_fallback)) + sys.getsizeof(preds.group)
+    # Beyond the outputs: a few arrays of one block's rows (features, means,
+    # the density's temporaries), and per test group its posterior row and
+    # its entry in the id lookup.  An (n, K) array alone would take 3.3 MB.
+    block_bound = 8 * BLOCK_ROWS * (p + K) * 8
+    assert test.n >= 20 * BLOCK_ROWS
+    assert peak < outputs + block_bound + 256 * R, (peak, outputs)
