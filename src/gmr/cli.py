@@ -174,6 +174,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.model is None:
+        for flag in ("truth", "train", "test"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"--{flag} needs --model")
     if args.model is None and args.predictions is None:
         raise _UsageError("need --model (with --truth) and/or --predictions")
     record = {
@@ -332,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", help="compute metrics from fit artifacts and ground truth")
     ev.add_argument("--model", help="model JSON from fit")
-    ev.add_argument("--truth", help="ground-truth JSON from simulate")
-    ev.add_argument("--train", help="training dataset CSV, for rmse_train")
-    ev.add_argument("--test", help="hold-out dataset CSV, for rmse_test")
+    ev.add_argument("--truth", help="ground-truth JSON from simulate (needs --model)")
+    ev.add_argument("--train", help="training dataset CSV, for rmse_train (needs --model)")
+    ev.add_argument("--test", help="hold-out dataset CSV, for rmse_test (needs --model)")
     ev.add_argument("--predictions", help="predictions CSV; its y_true/y_pred give rmse_test")
     ev.add_argument("--seed", type=int, help="seed to record in the metrics")
     ev.add_argument("--out", help="metrics JSON path (default: stdout)")

@@ -4,10 +4,10 @@ The generator draws a correlation-structured design, places the true
 coefficient vectors at the vertices of a randomly rotated regular simplex
 (all pairwise distances equal, all norms equal), partitions each cluster's
 observations into groups of near-equal size, and emits Gaussian responses.
-Everything is deterministic given the seed and the installed numpy and
-scipy: the rotation comes from scipy's `special_ortho_group`, whose sampling
-scheme has changed between scipy releases, so another scipy may draw other
-coefficient vectors (and hence other data) from the same seed.
+Everything is deterministic given the seed and the installed numpy: the
+simplex rotation is numpy's own draw (`_haar_rotation`), operation for
+operation the one scipy 1.17.1's `special_ortho_group` makes, so data drawn
+when the rotation still came from scipy are unchanged.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.stats import special_ortho_group
 
 from .data import Group, GroupedDataset, _check_fields, _check_integer, _check_real
 from .errors import GroupTooSmallError, InfeasibleError, TooManyGroupsError
@@ -121,9 +120,10 @@ def simplex_betas(K: int, p: int, delta_beta: float, seed=None) -> NDArray[np.fl
     coordinates of R^p, and apply a seeded uniformly random rotation.  The
     result has equal column norms ``delta_beta * sqrt((K-1)/(2K))``.
 
-    The rotation is drawn by scipy's `special_ortho_group`, so a seed gives
-    the same vectors only for a given numpy and scipy; the geometry above
-    holds for every rotation.
+    The rotation is `_haar_rotation` on ``np.random.default_rng(seed)``, so
+    a seed gives the same vectors for a given numpy; they equal those drawn
+    through scipy 1.17.1's `special_ortho_group`.  The geometry above holds
+    for every rotation.
 
     Raises
     ------
@@ -141,9 +141,27 @@ def simplex_betas(K: int, p: int, delta_beta: float, seed=None) -> NDArray[np.fl
     beta = np.zeros((p, K))
     beta[: K - 1, :] = coords.T
     if p > 1:
-        rot = special_ortho_group.rvs(p, random_state=np.random.default_rng(seed))
-        beta = rot @ beta
+        beta = _haar_rotation(p, np.random.default_rng(seed)) @ beta
     return beta
+
+
+def _haar_rotation(p: int, rng: np.random.Generator) -> NDArray[np.float64]:
+    """A uniformly (Haar) distributed p x p rotation, drawn from ``rng``.
+
+    QR of a standard Gaussian matrix with each column of Q multiplied by the
+    sign of R's diagonal entry is Haar on O(p) (Mezzadri 2007, "How to
+    generate random matrices from the classical compact groups", Notices
+    AMS 54); dividing the first row by the determinant (+-1) maps it onto
+    SO(p).  These are the operations of scipy 1.17.1's
+    ``special_ortho_group.rvs(p, random_state=rng)``, in its order, so the
+    bytes are the same.
+    """
+    z = rng.normal(size=(p, p))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= (d / abs(d))[None, :]
+    q[0, :] /= np.linalg.det(q)
+    return q
 
 
 def wishart_covariance(p: int, df: int, seed=None) -> NDArray[np.float64]:

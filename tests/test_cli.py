@@ -12,7 +12,6 @@ from typing import get_args
 
 import numpy as np
 import pytest
-import scipy
 
 import gmr.io
 from gmr.cli import build_parser, main
@@ -178,6 +177,17 @@ def test_evaluate_writes_file_and_is_deterministic(sim_dir, tmp_path):
     record = json.loads(a.read_text())
     assert record["rmse_train"] is None  # no --train given
     assert record["rmse_test"] is not None
+
+
+@pytest.mark.parametrize("flag", ["--truth", "--train", "--test"])
+def test_evaluate_flag_that_needs_model_is_usage_error(tmp_path, capsys, flag):
+    preds = tmp_path / "preds.csv"  # never created: the check comes before any read
+    out = tmp_path / "metrics.json"
+    args = ["evaluate", "--predictions", str(preds), flag, str(tmp_path / "missing"),
+            "--out", str(out)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {flag} needs --model\n"
+    assert not out.exists()
 
 
 def test_select_k_writes_report_pair(sim_dir, tmp_path, capsys):
@@ -483,8 +493,8 @@ def test_simulate_failing_split_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
-# sha256 of the files the pipeline below writes, pinned under numpy 2.4.6 and
-# scipy 1.17.1 when each CSV was still written cell by cell.
+# sha256 of the files the pipeline below writes, pinned under numpy 2.4.6 when
+# each CSV was still written cell by cell.
 PIPELINE_DIGESTS = {
     "dataset.csv": "e92dff777262f439ed19215cea3b44757152de1c04446d54faaec5210d802506",
     "train.csv": "36028d537fc3dfb1aa70a1abc85cbb850fbef2c696163fcee978ad2d7ab40486",
@@ -510,6 +520,6 @@ def test_simulate_and_predict_outputs_match_pinned_digests(tmp_path):
              "test.csv": sim / "test.csv", "preds.csv": preds}
     digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
     assert digests == PIPELINE_DIGESTS, (
-        f"outputs differ under numpy {np.__version__} and scipy {scipy.__version__}; "
-        "the digests were pinned under numpy 2.4.6 and scipy 1.17.1"
+        f"outputs differ under numpy {np.__version__}; "
+        "the digests were pinned under numpy 2.4.6"
     )

@@ -4,7 +4,6 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy
 from numpy.testing import assert_allclose
 
 from gmr import (
@@ -20,7 +19,7 @@ from gmr import (
     train_test_split,
     wishart_covariance,
 )
-from gmr.simulate import _test_rows
+from gmr.simulate import _haar_rotation, _test_rows
 
 
 def test_config_rejects_unembeddable_simplex():
@@ -96,6 +95,16 @@ def test_simplex_deterministic_per_seed():
     c = simplex_betas(3, 5, 1.0, seed=10)
     assert (a == b).all()
     assert not np.allclose(a, c)
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_haar_rotation_is_a_reproducible_rotation(p):
+    for seed in (0, 1, 7, 123, 2**31):
+        q = _haar_rotation(p, np.random.default_rng(seed))
+        assert q.shape == (p, p)
+        assert_allclose(q @ q.T, np.eye(p), rtol=0, atol=1e-12)
+        assert abs(np.linalg.det(q) - 1.0) <= 1e-12
+        assert q.tobytes() == _haar_rotation(p, np.random.default_rng(seed)).tobytes()
 
 
 def test_wishart_is_correlation_matrix():
@@ -262,8 +271,7 @@ def test_split_deterministic_per_seed():
 
 
 # sha256 of generate()'s y, X (little-endian float64) and labels (int64) for
-# the datasets of acceptance criterion 05, drawn under numpy 2.4.6 and
-# scipy 1.17.1.
+# the datasets of acceptance criterion 05, drawn under numpy 2.4.6.
 CRITERION_05_FINGERPRINTS = {
     500: "d597fa300c659549ee59128e91cd3edd72fee04793cacb1fe9f2de918370ac89",
     501: "bab0bdea052231ef0a9e5871c321655d68ac7710d0ffda78bc5bfc49f67cf284",
@@ -279,9 +287,9 @@ CRITERION_05_FINGERPRINTS = {
 
 
 def test_criterion_05_data_fingerprints():
-    # Seeds reproduce data only for a given numpy and scipy (see the module
-    # docstring of gmr.simulate); a mismatch here means criterion 05 is
-    # judging other data than the data it was checked on.
+    # Seeds reproduce data only for a given numpy (see the module docstring
+    # of gmr.simulate); a mismatch here means criterion 05 is judging other
+    # data than the data it was checked on.
     drifted = []
     for seed, expected in CRITERION_05_FINGERPRINTS.items():
         d, truth = generate(SimConfig(n=200, K=4, p=3, G=5, sigma=6.0, delta_beta=8.0, seed=seed))
@@ -293,6 +301,5 @@ def test_criterion_05_data_fingerprints():
             drifted.append(seed)
     assert not drifted, (
         f"generate() draws other data for criterion 05 seeds {drifted} under numpy "
-        f"{np.__version__} and scipy {scipy.__version__}; the fingerprints were pinned "
-        "under numpy 2.4.6 and scipy 1.17.1"
+        f"{np.__version__}; the fingerprints were pinned under numpy 2.4.6"
     )
