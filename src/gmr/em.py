@@ -21,10 +21,11 @@ it is cluster-major, because numpy reduces a short last axis row by row,
 several times slower than across contiguous rows, and the E-step reduces over
 clusters.  The private kernels take such a leading restart axis wherever
 they say (..., K, R).  Each iteration makes one pooled (S*K, p, p) system build,
-one batched Cholesky factorization, one residual product shared by the sigma2
-update and the E-step, and one log-sum-exp over the cluster axis.  A restart
-leaves the active set when it converges, reaches ``max_iter``, empties a
-cluster or keeps a singular system through the ridge ladder; the others go on
+one batched Cholesky factorization in `_solve_spd`, the one solver of every
+normal-equation stack, one residual product shared by the sigma2 update and
+the E-step, and one log-sum-exp over the cluster axis.  A restart leaves the
+active set when it converges, reaches ``max_iter``, empties a cluster or keeps
+a singular system through `_solve_spd`'s ridge ladder; the others go on
 without it and compute exactly what they would compute alone.  Nothing is
 validated inside the loop: `fit` checks the winner once, when it builds the
 `FitResult`.  The public `m_step_pi`, `m_step_beta`, `m_step_sigma2`,
@@ -83,6 +84,7 @@ EMPTY_CLUSTER_REL_TOL = 1e-12
 # Ridge escalation ceiling for the normal-equation solves (relative to the
 # mean diagonal of the system matrix).
 RIDGE_MAX_REL = 1e-4
+_SINGULAR = f"normal equations singular even at relative ridge {RIDGE_MAX_REL}"
 
 # Relative variance floor applied when EmConfig.sigma2_floor is not given.
 VAR_FLOOR_REL = 1e-8
@@ -291,82 +293,47 @@ def m_step_pi(tau: Responsibilities) -> NDArray[np.float64]:
     return _m_step_pi(tau.tau.T)
 
 
-def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` by Cholesky for A (..., p, p) and b (..., p).
+def _ridged_solve(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
+    """Cholesky solve of ``(A + lambda I) x = b`` with ``lambda = rel_ridge * trace(A)/p``.
 
-    A stack gets each system's single-call arithmetic, so a batch and a loop
-    agree to the last bit.  Raises ``LinAlgError`` if some A is not definite.
+    A is (..., p, p) and b (..., p); each system of a stack gets its own
+    lambda and its single-call arithmetic, so a batch and a loop agree to the
+    last bit.  Raises ``LinAlgError`` if some shifted system is not definite.
     """
-    L = np.linalg.cholesky(A)
+    p = b.shape[-1]
+    scale = np.trace(A, axis1=-2, axis2=-1) / p
+    L = np.linalg.cholesky(A + (rel_ridge * scale)[..., None, None] * np.eye(p))
     half = np.linalg.solve(L, b[..., None])
     return np.linalg.solve(np.swapaxes(L, -1, -2), half)[..., 0]
 
 
-def _ridged_solve(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
-    """`_cholesky_solve` of ``(A + lambda I) x = b`` with ``lambda = rel_ridge * trace(A)/p``.
+def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the symmetric PSD systems ``(A + lambda I) x = b``, A (..., p, p) and b (..., p).
 
-    Works on stacks, each system with its own lambda; raises ``LinAlgError``
-    if some shifted system is not definite.
-    """
-    p = b.shape[-1]
-    scale = np.trace(A, axis1=-2, axis2=-1) / p
-    return _cholesky_solve(A + (rel_ridge * scale)[..., None, None] * np.eye(p), b)
-
-
-def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
-    """Solve ``(A + lambda I) x = b`` with A symmetric PSD.
-
-    ``lambda = rel_ridge * trace(A)/p``.  If the Cholesky factorization fails,
-    the relative ridge escalates by factors of 10 up to ``RIDGE_MAX_REL``
-    before `SingularSystemError` is raised.  ``rel_ridge=0`` attempts a plain
-    solve first and then enters the escalation ladder at 1e-10.
-    """
-    lam = rel_ridge
-    while True:
-        try:
-            return _ridged_solve(A, b, lam)
-        except np.linalg.LinAlgError:
-            lam = 1e-10 if lam == 0 else lam * 10.0
-            if lam > RIDGE_MAX_REL * 1.5:
-                raise SingularSystemError(
-                    f"normal equations singular even at relative ridge {RIDGE_MAX_REL}"
-                ) from None
-
-
-def _solve_spd_batch(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
-    """`_solve_spd` over a stack: A (m, p, p) and b (m, p) give x (m, p).
-
-    One batched Cholesky call factors all m systems at the first ridge; only
-    if it fails does each system go through the escalation of `_solve_spd`.
+    ``lambda = rel_ridge * trace(A)/p``.  One batched Cholesky call factors the
+    whole stack.  If it fails, each slice of the leading axis is solved on its
+    own, down to single systems, so only a system that does not factor climbs
+    the ridge ladder: its relative ridge escalates by factors of 10 up to
+    ``RIDGE_MAX_REL`` (``rel_ridge=0`` enters the ladder at 1e-10).  Returns x
+    and a boolean mask (...) of the systems solved; an unsolved system, one
+    still singular at the top of the ladder, gets x = 0.
     """
     try:
-        return _ridged_solve(A, b, rel_ridge)
-    except np.linalg.LinAlgError:
-        return np.array([_solve_spd(A[i], b[i], rel_ridge) for i in range(b.shape[0])])
-
-
-def _solve_restarts(
-    A: np.ndarray, b: np.ndarray, rel_ridge: float
-) -> tuple[np.ndarray, dict[int, SingularSystemError]]:
-    """`_solve_spd_batch` for each restart of a stack: A (S, K, p, p), b (S, K, p).
-
-    One batched Cholesky call factors all S*K systems.  If it fails, each
-    restart's K systems are solved on their own, so only a restart with a
-    system that does not factor goes down the ridge ladder.  Returns the
-    solutions and, by stack position, the restarts the ladder could not save.
-    """
-    try:
-        return _ridged_solve(A, b, rel_ridge), {}
+        return _ridged_solve(A, b, rel_ridge), np.ones(b.shape[:-1], dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    x = np.zeros_like(b)
-    lost = {}
-    for s in range(b.shape[0]):
+    if b.ndim > 1:
+        x, solved = zip(*(_solve_spd(A[i], b[i], rel_ridge) for i in range(b.shape[0])))
+        return np.array(x), np.array(solved)
+    lam = rel_ridge
+    while True:
+        lam = 1e-10 if lam == 0 else lam * 10.0
+        if lam > RIDGE_MAX_REL * 1.5:
+            return np.zeros_like(b), np.False_
         try:
-            x[s] = _solve_spd_batch(A[s], b[s], rel_ridge)
-        except SingularSystemError as exc:
-            lost[s] = exc
-    return x, lost
+            return _ridged_solve(A, b, lam), np.True_
+        except np.linalg.LinAlgError:
+            pass
 
 
 def _cluster_weights(n_r: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +386,7 @@ def m_step_beta(
     via a symmetric positive-definite factorization.  This equals the normal
     equations of a per-observation least squares problem where every
     observation of group r carries weight ``tau_rk``.  All K systems go
-    through `_solve_spd_batch` at ``lambda = ridge * trace/p``.
+    through `_solve_spd` at ``lambda = ridge * trace/p``.
 
     Raises
     ------
@@ -433,7 +400,10 @@ def m_step_beta(
     lost = _empty_clusters(w_plus[None], float(stats.n_r.sum()))
     if lost:
         raise lost[0]
-    return _solve_spd_batch(*_pooled_systems(stats, w_check), ridge).T
+    beta, solved = _solve_spd(*_pooled_systems(stats, w_check), ridge)
+    if not solved.all():
+        raise SingularSystemError(_SINGULAR)
+    return beta.T
 
 
 def _m_step_sigma2(w_check: np.ndarray, E: np.ndarray, floor: float) -> np.ndarray:
@@ -527,7 +497,10 @@ def _group_coefs(stats: GroupedDataset) -> np.ndarray:
     ``lambda = 1e-6 * trace(sigma_hat_r)/p``.  They depend only on the
     dataset, so a fit solves them once for all its restarts.
     """
-    return _solve_spd_batch(stats.sigma_hat, stats.rho_hat, GROUP_COEF_RIDGE_REL)
+    coefs, solved = _solve_spd(stats.sigma_hat, stats.rho_hat, GROUP_COEF_RIDGE_REL)
+    if not solved.all():
+        raise SingularSystemError(_SINGULAR)
+    return coefs
 
 
 def _kmeans_start(coefs: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -619,8 +592,8 @@ def _run_restarts(
 
     A restart that converges or reaches ``cfg.max_iter`` ends as a
     `_Restart`; one that empties a cluster or keeps a singular system
-    through the ridge ladder ends as that error.  Either way it leaves the
-    active set.  Every product, factorization and reduction acts on one
+    through the ridge ladder of `_solve_spd` ends as that error.  Either way
+    it leaves the active set.  Every product, factorization and reduction acts on one
     restart's slice of the stack, so a restart computes exactly what it
     would alone: the call with one seed is the one-restart fit.  The group
     coefficients of k-means starts are solved once, for all restarts.
@@ -651,8 +624,10 @@ def _run_restarts(
         lost = _empty_clusters(w_plus, n_total)
         if lost:
             live, tau, pi, w_check = _abandon(outcomes, lost, live, tau, pi, w_check)
-        coefs, lost = _solve_restarts(*_pooled_systems(d, w_check), cfg.ridge)
-        if lost:
+        coefs, solved = _solve_spd(*_pooled_systems(d, w_check), cfg.ridge)
+        if not solved.all():
+            unsolved = np.flatnonzero(~solved.all(axis=-1))
+            lost = {s: SingularSystemError(_SINGULAR) for s in unsolved}
             live, tau, pi, w_check, coefs = _abandon(
                 outcomes, lost, live, tau, pi, w_check, coefs
             )

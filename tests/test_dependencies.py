@@ -51,3 +51,65 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each module-level private name of a module and the statement that defines it."""
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            targets = [stmt.target.id]
+        else:
+            continue
+        defined.update((name, stmt) for name in targets if _private(name))
+    return defined
+
+
+def _private_references(module: str, tree: ast.Module):
+    """Yield (module, name, statement) for each private name a top-level statement reads.
+
+    A bare name belongs to the module itself unless ``from .other import``
+    brought it in; an attribute (``io._x``, ``self._x``) may belong to any
+    module, so its module is None.
+    """
+    imported = {
+        alias.asname or alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and _private(node.id):
+                yield imported.get(node.id, module), node.id, stmt
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                yield None, node.attr, stmt
+
+
+def test_every_private_name_is_used_outside_its_own_definition():
+    # A helper that only calls itself, or that nothing calls, is dead code.
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((SRC / "gmr").rglob("*.py"))
+    }
+    refs = [ref for module, tree in trees.items() for ref in _private_references(module, tree)]
+    defined = [
+        (module, name, stmt)
+        for module, tree in trees.items()
+        for name, stmt in _private_definitions(tree).items()
+    ]
+    assert ("em", "_solve_spd") in {(module, name) for module, name, _ in defined}
+    dead = [
+        f"{module}.{name}"
+        for module, name, stmt in defined
+        if not any(n == name and m in (module, None) and s is not stmt for m, n, s in refs)
+    ]
+    assert dead == []

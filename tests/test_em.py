@@ -267,7 +267,7 @@ def per_system_beta(stats, tau, ridge):
     """Reference for `m_step_beta`: each cluster's system through `_solve_spd`."""
     pooled_sigma, pooled_rho = em._pooled_systems(stats, em._cluster_weights(stats.n_r, tau.tau.T)[0])
     return np.column_stack(
-        [em._solve_spd(pooled_sigma[k], pooled_rho[k], ridge) for k in range(tau.K)]
+        [em._solve_spd(pooled_sigma[k], pooled_rho[k], ridge)[0] for k in range(tau.K)]
     )
 
 
@@ -298,7 +298,7 @@ def test_m_step_beta_batched_solve_matches_per_system_ladder(monkeypatch):
     real = em._solve_spd
     monkeypatch.setattr(em, "_solve_spd", lambda *a: calls.append(a) or real(*a))
     assert_allclose(m_step_beta(stats, tau, ridge=0.0), expected, rtol=1e-12, atol=0)
-    assert len(calls) == 3
+    assert len([a for a in calls if a[0].ndim == 2]) == 3
 
 
 def test_solve_spd_batch_matches_per_system_ladder(monkeypatch):
@@ -310,14 +310,44 @@ def test_solve_spd_batch_matches_per_system_ladder(monkeypatch):
     assert (stats.n_r < 4).sum() >= 10
     ridge = em.GROUP_COEF_RIDGE_REL
     expected = np.array(
-        [em._solve_spd(stats.sigma_hat[r], stats.rho_hat[r], ridge) for r in range(60)]
+        [em._solve_spd(stats.sigma_hat[r], stats.rho_hat[r], ridge)[0] for r in range(60)]
     )
     calls = []
     real = em._solve_spd
     monkeypatch.setattr(em, "_solve_spd", lambda *a: calls.append(a) or real(*a))
-    got = em._solve_spd_batch(stats.sigma_hat, stats.rho_hat, ridge)
-    assert calls == []  # one batched factorization, no ladder
+    got, solved = em._solve_spd(stats.sigma_hat, stats.rho_hat, ridge)
+    assert len(calls) == 1  # one batched factorization, no ladder
+    assert solved.all()
     assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_solve_spd_marks_exactly_the_systems_the_ladder_cannot_save(monkeypatch):
+    # An (S=3, K=2) stack of definite systems, except restart 1's second
+    # system: all zeros, so no relative ridge makes it definite.
+    rng = np.random.default_rng(24)
+    M = rng.normal(size=(3, 2, 5, 3))
+    A = np.swapaxes(M, -1, -2) @ M
+    A[1, 1] = 0.0
+    b = rng.normal(size=(3, 2, 3))
+    for ridge in (0.0, 1e-10):
+        x, solved = em._solve_spd(A, b, ridge)
+        assert solved.tolist() == [[True, True], [True, False], [True, True]]
+        for s in (0, 2):
+            assert (x[s] == em._ridged_solve(A[s], b[s], ridge)).all()
+        assert (x[1, 0] == em._ridged_solve(A[1, 0], b[1, 0], ridge)).all()
+        assert (x[1, 1] == 0).all()
+
+    # A ridge above the ladder's ceiling gets exactly one attempt.
+    attempts = []
+    real = em._ridged_solve
+    monkeypatch.setattr(em, "_ridged_solve", lambda *a: attempts.append(a) or real(*a))
+    x, solved = em._solve_spd(A[1, 0], b[1, 0], 1e-3)
+    assert solved and len(attempts) == 1
+    assert (x == real(A[1, 0], b[1, 0], 1e-3)).all()
+    attempts.clear()
+    x, solved = em._solve_spd(A[1, 1], b[1, 1], 1e-3)
+    assert not solved and len(attempts) == 1
+    assert (x == 0).all()
 
 
 # ------------------------------------------------------------ m_step_sigma2
@@ -426,7 +456,7 @@ def test_init_kmeans_zero_feature_group_raises_through_ladder(monkeypatch):
     monkeypatch.setattr(em, "_solve_spd", lambda *a: calls.append(a) or real(*a))
     with pytest.raises(SingularSystemError):
         init_responsibilities(6, 2, strategy="kmeans_on_group_coefs", seed=0, stats=stats)
-    assert len(calls) == 6
+    assert len([a for a in calls if a[0].ndim == 2]) == 6
 
 
 def test_kmeans_starts_of_a_fit_share_one_solve_of_the_group_systems(monkeypatch):
@@ -684,6 +714,7 @@ def test_only_the_restart_with_a_singular_system_meets_the_ridge_ladder(monkeypa
     real = em._solve_spd
     monkeypatch.setattr(em, "_solve_spd", lambda *a: calls.append(a) or real(*a))
     together = em._run_restarts(d, cfg, "random_hard", 1e-8, seeds)
+    calls = [a for a in calls if a[0].ndim == 2]
     assert len(calls) == 2
     for (A, _, _), A_k in zip(calls, expected):
         assert (A == A_k).all()
