@@ -180,6 +180,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise _UsageError(f"--{flag} needs --model")
     if args.model is None and args.predictions is None:
         raise _UsageError("need --model (with --truth) and/or --predictions")
+    if args.test is not None and args.predictions is not None:
+        raise _UsageError("--test and --predictions both give rmse_test; pass one")
     record = {
         "nmi": None,
         "beta_error": None,
@@ -338,8 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", help="model JSON from fit")
     ev.add_argument("--truth", help="ground-truth JSON from simulate (needs --model)")
     ev.add_argument("--train", help="training dataset CSV, for rmse_train (needs --model)")
-    ev.add_argument("--test", help="hold-out dataset CSV, for rmse_test (needs --model)")
-    ev.add_argument("--predictions", help="predictions CSV; its y_true/y_pred give rmse_test")
+    ev.add_argument(
+        "--test", help="hold-out dataset CSV, for rmse_test (needs --model; not with --predictions)"
+    )
+    ev.add_argument(
+        "--predictions", help="predictions CSV; its y_true/y_pred give rmse_test (not with --test)"
+    )
     ev.add_argument("--seed", type=int, help="seed to record in the metrics")
     ev.add_argument("--out", help="metrics JSON path (default: stdout)")
     ev.set_defaults(func=cmd_evaluate)

@@ -22,7 +22,7 @@ from itertools import chain, repeat
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import GroupedDataset, ModelParams
+from .data import GroupedDataset, ModelParams, validate_dataset
 from .em import FitResult, _log_sum_exp
 from .errors import DimensionMismatchError, UnknownGroupError
 
@@ -160,6 +160,9 @@ def predict_groups(
 
     Raises
     ------
+    NonFiniteError
+        If a test cell is NaN or infinite.  ``test`` is validated first; see
+        `validate_dataset` for the other errors.
     UnknownGroupError
         If a test group id is unknown and ``on_unknown="error"``; names the
         first such id in test order.
@@ -168,6 +171,7 @@ def predict_groups(
     """
     if on_unknown not in ("error", "prior"):
         raise ValueError(f"on_unknown must be 'error' or 'prior', got {on_unknown!r}")
+    validate_dataset(test)
     params = fit.params
     if test.p != params.p:
         raise DimensionMismatchError(

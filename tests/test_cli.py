@@ -190,6 +190,33 @@ def test_evaluate_flag_that_needs_model_is_usage_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_evaluate_test_and_predictions_together_is_usage_error(tmp_path, capsys):
+    # Both flags name a source of rmse_test; none of the files exists, so the
+    # refusal comes before any read.
+    out = tmp_path / "metrics.json"
+    args = ["evaluate", "--model", str(tmp_path / "m.json"), "--test", str(tmp_path / "t.csv"),
+            "--predictions", str(tmp_path / "p.csv"), "--out", str(out)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: --test and --predictions both give rmse_test; pass one\n"
+    assert not out.exists()
+
+
+def test_non_finite_test_csv_exit_1_and_no_output(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1", "--out", str(model)]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text("group,y,x1,x2\ng0,1.0,0.5,-0.5\ng0,nan,0.5,-0.5\n")
+    capsys.readouterr()
+    preds = tmp_path / "preds.csv"
+    assert run(["predict", "--model", str(model), "--data", str(bad), "--out", str(preds)]) == 1
+    assert capsys.readouterr().err == "error: group 'g0' contains NaN or infinite values\n"
+    assert not preds.exists()
+    metrics = tmp_path / "metrics.json"
+    assert run(["evaluate", "--model", str(model), "--test", str(bad), "--out", str(metrics)]) == 1
+    assert capsys.readouterr().err == "error: group 'g0' contains NaN or infinite values\n"
+    assert not metrics.exists()
+
+
 def test_select_k_writes_report_pair(sim_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(

@@ -15,6 +15,7 @@ from gmr import (
     Group,
     GroupedDataset,
     ModelParams,
+    NonFiniteError,
     Responsibilities,
     SimConfig,
     UnknownGroupError,
@@ -182,6 +183,17 @@ def test_predict_groups_rejects_wrong_width():
     bad = GroupedDataset((Group("g0", [1.0], [[1.0, 2.0]]),))
     with pytest.raises(DimensionMismatchError):
         predict_groups(res, bad, on_unknown="error")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cell", ["responses", "features"])
+def test_predict_groups_rejects_non_finite_test_cells(bad, cell):
+    d, res = noiseless_fit()
+    y, X = np.array([1.0, 2.0]), np.array([[1.0], [2.0]])
+    (y if cell == "responses" else X)[1] = bad
+    test = GroupedDataset((Group("g0", y, X),))
+    with pytest.raises(NonFiniteError, match="group 'g0' contains NaN or infinite values"):
+        predict_groups(res, test, on_unknown="error")
 
 
 def block_fixture():
