@@ -593,10 +593,10 @@ def _run_restarts(
     A restart that converges or reaches ``cfg.max_iter`` ends as a
     `_Restart`; one that empties a cluster or keeps a singular system
     through the ridge ladder of `_solve_spd` ends as that error.  Either way
-    it leaves the active set.  Every product, factorization and reduction acts on one
-    restart's slice of the stack, so a restart computes exactly what it
-    would alone: the call with one seed is the one-restart fit.  The group
-    coefficients of k-means starts are solved once, for all restarts.
+    it leaves the active set.  Every product, factorization and reduction
+    acts on one restart's slice of the stack, so a restart computes exactly
+    what it would alone: the call with one seed is the one-restart fit.  The
+    group coefficients of k-means starts are solved once, for all restarts.
     """
     outcomes: list = [None] * len(seeds)
     taus = []
