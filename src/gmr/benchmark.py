@@ -6,6 +6,7 @@ derived from the master seed and the (cell, rep) coordinates, so results do
 not depend on execution order and a worker pool produces exactly the
 sequential output.  A `GmrError` inside a replication is recorded on its
 record rather than aborting the sweep; any other exception propagates.
+`gmr evaluate` scores a fit with the same `_label_scores` and `_holdout_rmse`.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import _check_fields, _check_integer, _check_real
-from .em import EmConfig, fit
+from .data import GroupedDataset, _check_fields, _check_integer, _check_real
+from .em import EmConfig, FitResult, fit
 from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
 from .predict import map_predict_fmr, predict_groups
-from .simulate import SimConfig, generate, train_test_split
+from .simulate import GroundTruth, SimConfig, generate, train_test_split
 
 __all__ = ["BenchmarkSpec", "aggregate", "aggregate_columns", "iter_records"]
 
@@ -37,6 +38,8 @@ _METRIC_COLUMNS = {
     "rmse": ("rmse_train", "rmse_gmr", "rmse_fmr"),
     "iterations": ("n_iter", "converged_frac"),
 }
+# Aggregate columns that average a record field of another name.
+_RECORD_FIELDS = {"rmse_gmr": "rmse_test", "converged_frac": "converged"}
 
 
 def _as_tuple(value) -> tuple:
@@ -66,10 +69,10 @@ class BenchmarkSpec:
     test_frac: float = 0.2
     seed: int | None = None
     metrics: tuple[str, ...] = _METRIC_NAMES
-    restarts: int = 10
-    max_iter: int = 200
-    epsilon: float = 1e-6
-    init: str = "random_hard"
+    restarts: int = EmConfig.n_restarts  # the EM defaults, read off EmConfig's fields
+    max_iter: int = EmConfig.max_iter
+    epsilon: float = EmConfig.epsilon
+    init: str = EmConfig.init
 
     def __post_init__(self):
         for name in _GRID_FIELDS:
@@ -115,6 +118,20 @@ class BenchmarkSpec:
         return [dict(zip(_GRID_FIELDS, combo)) for combo in combos]
 
 
+def _label_scores(result: FitResult, truth: GroundTruth) -> dict:
+    """``nmi`` and ``beta_error`` of a fit's hard labels against the generating truth."""
+    est = result.tau.hard_labels()
+    f = confusion(truth.labels, est, n_true=truth.beta_true.shape[1], n_est=result.params.K)
+    return {"nmi": nmi(truth.labels, est),
+            "beta_error": beta_error(truth.beta_true, result.params.beta, f)}
+
+
+def _holdout_rmse(result: FitResult, data: GroupedDataset) -> float:
+    """RMSE of the fit's posterior-mean predictions of ``data``; unseen groups mix with pi."""
+    preds = predict_groups(result, data, on_unknown="prior")
+    return rmse(preds.y_true, preds.y_pred)
+
+
 def _replicate(task: tuple) -> dict:
     cell, cell_idx, rep, base_seed, test_frac, em_template, want_rmse = task
     record = {
@@ -140,16 +157,10 @@ def _replicate(task: tuple) -> dict:
         if want_rmse:
             train, test = train_test_split(data, test_frac, s_split)
         result = fit(train, replace(em_template, K=sim.K, seed=s_fit))
-
-        est = result.tau.hard_labels()
-        f = confusion(truth.labels, est, n_true=sim.K, n_est=result.params.K)
-        record["nmi"] = nmi(truth.labels, est)
-        record["beta_error"] = beta_error(truth.beta_true, result.params.beta, f)
+        record.update(_label_scores(result, truth))
         if want_rmse:
-            train_preds = predict_groups(result, train)
-            test_preds = predict_groups(result, test)
-            record["rmse_train"] = rmse(train_preds.y_true, train_preds.y_pred)
-            record["rmse_test"] = rmse(test_preds.y_true, test_preds.y_pred)
+            record["rmse_train"] = _holdout_rmse(result, train)
+            record["rmse_test"] = _holdout_rmse(result, test)
             y_test, x_test, _ = test.stacked
             record["rmse_fmr"] = rmse(y_test, map_predict_fmr(result.params, x_test))
         record["n_iter"] = result.n_iter
@@ -185,25 +196,16 @@ def aggregate(records: Iterable[dict]) -> list[dict]:
         key = tuple(record[f] for f in _GRID_FIELDS)
         by_cell.setdefault(key, []).append(record)
 
-    def _mean(ok: list[dict], field_name: str):
-        values = [r[field_name] for r in ok if r[field_name] is not None]
-        return float(np.mean(values)) if values else None
-
     rows = []
     for key, cell_records in by_cell.items():
         ok = [r for r in cell_records if r["error"] is None]
         row = dict(zip(_GRID_FIELDS, key))
         row["n_reps"] = len(cell_records)
         row["n_failed"] = len(cell_records) - len(ok)
-        row["nmi"] = _mean(ok, "nmi")
-        row["beta_error"] = _mean(ok, "beta_error")
-        row["rmse_train"] = _mean(ok, "rmse_train")
-        row["rmse_gmr"] = _mean(ok, "rmse_test")
-        row["rmse_fmr"] = _mean(ok, "rmse_fmr")
-        row["n_iter"] = _mean(ok, "n_iter")
-        row["converged_frac"] = (
-            float(np.mean([1.0 if r["converged"] else 0.0 for r in ok])) if ok else None
-        )
+        for column in itertools.chain.from_iterable(_METRIC_COLUMNS.values()):
+            field_name = _RECORD_FIELDS.get(column, column)
+            values = [float(r[field_name]) for r in ok if r[field_name] is not None]
+            row[column] = float(np.mean(values)) if values else None
         rows.append(row)
     return rows
 

@@ -25,11 +25,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args
 
+import numpy as np
+
 from . import benchmark as bench
 from . import io
 from .em import EmConfig, InitStrategy, fit
-from .errors import GmrError
-from .metrics import beta_error, confusion, nmi, rmse
+from .errors import GmrError, NonFiniteError
+from .metrics import rmse
 from .predict import predict_groups
 from .select import select_k
 from .simulate import SimConfig, _test_rows, generate
@@ -182,37 +184,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise _UsageError("need --model (with --truth) and/or --predictions")
     if args.test is not None and args.predictions is not None:
         raise _UsageError("--test and --predictions both give rmse_test; pass one")
-    record = {
-        "nmi": None,
-        "beta_error": None,
-        "rmse_train": None,
-        "rmse_test": None,
-        "n_iter": None,
-        "converged": None,
-        "K": None,
-        "seed": args.seed,
-    }
-    model = io.read_model_json(args.model) if args.model else None
-    if model is not None:
-        record["n_iter"] = model.n_iter
-        record["converged"] = model.converged
-        record["K"] = model.params.K
+    metrics = ("nmi", "beta_error", "rmse_train", "rmse_test", "n_iter", "converged", "K")
+    record = {**dict.fromkeys(metrics), "seed": args.seed}
+    if args.model:
+        model = io.read_model_json(args.model)
+        record.update(n_iter=model.n_iter, converged=model.converged, K=model.params.K)
         if args.truth:
-            truth, _ = io.read_truth_json(args.truth)
-            est = model.tau.hard_labels()
-            f = confusion(
-                truth.labels, est, n_true=truth.beta_true.shape[1], n_est=model.params.K
-            )
-            record["nmi"] = nmi(truth.labels, est)
-            record["beta_error"] = beta_error(truth.beta_true, model.params.beta, f)
+            record.update(bench._label_scores(model, io.read_truth_json(args.truth)[0]))
         if args.train:
-            preds = predict_groups(model, io.read_dataset_csv(args.train), on_unknown="prior")
-            record["rmse_train"] = rmse(preds.y_true, preds.y_pred)
+            record["rmse_train"] = bench._holdout_rmse(model, io.read_dataset_csv(args.train))
         if args.test:
-            preds = predict_groups(model, io.read_dataset_csv(args.test), on_unknown="prior")
-            record["rmse_test"] = rmse(preds.y_true, preds.y_pred)
+            record["rmse_test"] = bench._holdout_rmse(model, io.read_dataset_csv(args.test))
     if args.predictions is not None:
         cols = io.read_predictions_csv(args.predictions)
+        for name in ("y_true", "y_pred"):
+            if not np.isfinite(cols[name]).all():
+                raise NonFiniteError(f"{args.predictions}: {name} contains NaN or infinite values")
         record["rmse_test"] = rmse(cols["y_true"], cols["y_pred"])
     line = json.dumps(record)
     if args.out:
@@ -391,3 +378,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

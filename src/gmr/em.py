@@ -15,22 +15,23 @@ group's (p+1) x (p+1) triangular factor (`GroupedDataset.factors`).  Group
 weights enter only through w_rk = n_r * tau_rk and its column normalization,
 so an iteration costs O(R K p^2) regardless of the raw observation count.
 
-All restarts of a fit iterate in lockstep (`_run_restarts`).  Their
-responsibilities form one (S, K, R) stack over the S restarts still active;
-it is cluster-major, because numpy reduces a short last axis row by row,
-several times slower than across contiguous rows, and the E-step reduces over
-clusters.  The private kernels take such a leading restart axis wherever
-they say (..., K, R).  Each iteration makes one pooled (S*K, p, p) system build,
-one batched Cholesky factorization in `_solve_spd`, the one solver of every
-normal-equation stack, one residual product shared by the sigma2 update and
-the E-step, and one log-sum-exp over the cluster axis.  A restart leaves the
-active set when it converges, reaches ``max_iter``, empties a cluster or keeps
-a singular system through `_solve_spd`'s ridge ladder; the others go on
-without it and compute exactly what they would compute alone.  Nothing is
-validated inside the loop: `fit` checks the winner once, when it builds the
-`FitResult`.  The public `m_step_pi`, `m_step_beta`, `m_step_sigma2`,
-`log_joint` and `e_step` are the one-restart case of the same private kernels,
-so each formula lives in one place.
+All restarts of a fit start through `init_responsibilities` (k-means starts
+share one group solve, kept on the dataset) and iterate in lockstep
+(`_run_restarts`).  Their responsibilities form one (S, K, R) stack over the S
+restarts still active; it is cluster-major, because numpy reduces a short last
+axis row by row, several times slower than across contiguous rows, and the
+E-step reduces over clusters.  The private kernels take such a leading restart
+axis wherever they say (..., K, R).  Each iteration makes one pooled
+(S*K, p, p) system build, one batched Cholesky factorization in `_solve_spd`,
+the one solver of every normal-equation stack, one residual product shared by
+the sigma2 update and the E-step, and one log-sum-exp over the cluster axis.
+A restart leaves the active set when it converges, reaches ``max_iter``,
+empties a cluster or keeps a singular system through `_solve_spd`'s ridge
+ladder; the others go on without it and compute exactly what they would
+compute alone.  Nothing is validated inside the loop: `fit` checks the winner
+once, when it builds the `FitResult`.  The public `m_step_pi`, `m_step_beta`,
+`m_step_sigma2`, `log_joint` and `e_step` are the one-restart case of the same
+private kernels, so each formula lives in one place.
 """
 
 from __future__ import annotations
@@ -495,17 +496,15 @@ def _group_coefs(stats: GroupedDataset) -> np.ndarray:
 
     Group r solves ``(sigma_hat_r + lambda I) c = rho_hat_r`` with
     ``lambda = 1e-6 * trace(sigma_hat_r)/p``.  They depend only on the
-    dataset, so a fit solves them once for all its restarts.
+    dataset, so the first solve is kept on it for every later start of any
+    fit; a failed one is not kept, so each start raises its own error.
     """
-    coefs, solved = _solve_spd(stats.sigma_hat, stats.rho_hat, GROUP_COEF_RIDGE_REL)
-    if not solved.all():
-        raise SingularSystemError(_SINGULAR)
-    return coefs
-
-
-def _kmeans_start(coefs: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    """Indicator rows (R, K) of the k-means labels of the group coefficients ``coefs``."""
-    return np.eye(K)[_kmeans(coefs, K, rng)]
+    if not hasattr(stats, "_group_coefs"):
+        coefs, solved = _solve_spd(stats.sigma_hat, stats.rho_hat, GROUP_COEF_RIDGE_REL)
+        if not solved.all():
+            raise SingularSystemError(_SINGULAR)
+        object.__setattr__(stats, "_group_coefs", _readonly(coefs))
+    return stats._group_coefs
 
 
 def init_responsibilities(
@@ -528,8 +527,8 @@ def init_responsibilities(
         Solve a small ridge regression per group (ridge
         ``1e-6 * trace(sigma_hat_r)/p``), cluster the coefficient vectors with
         k-means (k-means++ seeding, 50 iterations), and convert the labels to
-        indicator rows.  Requires ``stats``, the dataset whose cached
-        `GroupedDataset.sigma_hat` and `GroupedDataset.rho_hat` it reads.
+        indicator rows.  Requires ``stats``, the dataset whose coefficients
+        are solved once and kept on it (see `_group_coefs`).
 
     Raises
     ------
@@ -547,7 +546,7 @@ def init_responsibilities(
     if strategy == "kmeans_on_group_coefs":
         if stats is None:
             raise ValueError("kmeans_on_group_coefs requires group stats")
-        return Responsibilities(_kmeans_start(_group_coefs(stats), K, rng))
+        return Responsibilities(np.eye(K)[_kmeans(_group_coefs(stats), K, rng)])
     raise ValueError(f"unknown init strategy {strategy!r}")
 
 
@@ -595,20 +594,16 @@ def _run_restarts(
     through the ridge ladder of `_solve_spd` ends as that error.  Either way
     it leaves the active set.  Every product, factorization and reduction
     acts on one restart's slice of the stack, so a restart computes exactly
-    what it would alone: the call with one seed is the one-restart fit.  The
-    group coefficients of k-means starts are solved once, for all restarts.
+    what it would alone: the call with one seed is the one-restart fit.
+    Every restart starts through `init_responsibilities`; k-means starts
+    solve the group coefficients once, kept on the dataset (`_group_coefs`).
     """
     outcomes: list = [None] * len(seeds)
     taus = []
-    coefs = None
     for i, seed in enumerate(seeds):
         try:
-            if strategy == "kmeans_on_group_coefs":
-                coefs = _group_coefs(d) if coefs is None else coefs
-                taus.append(_kmeans_start(coefs, cfg.K, np.random.default_rng(seed)))
-            else:
-                taus.append(init_responsibilities(d.R, cfg.K, strategy, seed, stats=d).tau)
-        except (EmptyClusterError, SingularSystemError) as exc:
+            taus.append(init_responsibilities(d.R, cfg.K, strategy, seed, stats=d).tau)
+        except SingularSystemError as exc:
             outcomes[i] = exc
     live = np.flatnonzero([outcome is None for outcome in outcomes])
     if not taus:

@@ -22,7 +22,7 @@ from itertools import chain, repeat
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import GroupedDataset, ModelParams, validate_dataset
+from .data import GroupedDataset, ModelParams, _readonly, validate_dataset
 from .em import FitResult, _log_sum_exp
 from .errors import DimensionMismatchError, UnknownGroupError
 
@@ -64,13 +64,10 @@ class PredictiveMixture:
     sigmas2: NDArray[np.float64]
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        m = np.array(self.means, dtype=float)
-        s2 = np.array(self.sigmas2, dtype=float)
+        w, m, s2 = _readonly(self.weights), _readonly(self.means), _readonly(self.sigmas2)
         for name, arr in (("weights", w), ("means", m), ("sigmas2", s2)):
             if arr.ndim != 1 or arr.shape[0] != w.shape[0]:
                 raise DimensionMismatchError(f"{name} must be a length-K vector")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-10:
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-10")
@@ -192,7 +189,7 @@ def predict_groups(
     log_density = np.empty(test.n)
     for n in np.unique(n_r):
         idx = np.flatnonzero(n_r == n)
-        step = max(1, BLOCK_ROWS // max(int(n), 1))
+        step = max(1, BLOCK_ROWS // int(n))
         for start in range(0, idx.size, step):
             block = idx[start : start + step]
             X = np.stack([test.groups[r].features for r in block])  # (G, n, p)

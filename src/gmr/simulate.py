@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import Group, GroupedDataset, _check_fields, _check_integer, _check_real
+from .data import Group, GroupedDataset, _check_fields, _check_integer, _check_real, _readonly
 from .errors import GroupTooSmallError, InfeasibleError, TooManyGroupsError
 
 __all__ = [
@@ -106,9 +106,7 @@ class GroundTruth:
             ("sigma_true", float),
             ("Sigma_x", float),
         ):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
 
 
 def simplex_betas(K: int, p: int, delta_beta: float, seed=None) -> NDArray[np.float64]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gmr.benchmark
-from gmr import BenchmarkSpec, aggregate, aggregate_columns, iter_records
+from gmr import BenchmarkSpec, EmConfig, aggregate, aggregate_columns, iter_records
 
 
 def small_spec(**overrides):
@@ -114,6 +114,36 @@ def test_aggregate_all_failed_cell_has_null_means():
     rows = aggregate(iter_records(spec))
     assert rows[0]["n_failed"] == 2
     assert rows[0]["nmi"] is None
+
+
+def test_aggregate_averages_every_declared_column_over_successful_records():
+    # One cell, built by hand: one failed record and two successful ones, one
+    # of them not converged.  No fit runs.
+    cell = dict(K=2, p=2, G=4, n=80, sigma=1.0, delta_beta=8.0)
+    metrics = ("nmi", "beta_error", "rmse_train", "rmse_test", "rmse_fmr", "n_iter", "converged")
+    failed = {**cell, "rep": 0, "seed": 1, **dict.fromkeys(metrics), "error": "EmptyClusterError: x"}
+    ok = [
+        {**cell, "rep": 1, "seed": 2, "nmi": 0.5, "beta_error": 1.0, "rmse_train": 2.0,
+         "rmse_test": 3.0, "rmse_fmr": 4.0, "n_iter": 7, "converged": True, "error": None},
+        {**cell, "rep": 2, "seed": 3, "nmi": 0.25, "beta_error": 3.0, "rmse_train": 4.0,
+         "rmse_test": 5.5, "rmse_fmr": 6.0, "n_iter": 200, "converged": False, "error": None},
+    ]
+    [row] = aggregate([failed, *ok])
+    assert list(row) == [
+        "K", "p", "G", "n", "sigma", "delta_beta", "n_reps", "n_failed",
+        "nmi", "beta_error", "rmse_train", "rmse_gmr", "rmse_fmr", "n_iter", "converged_frac",
+    ]
+    assert row == {
+        **cell, "n_reps": 3, "n_failed": 1,
+        "nmi": 0.375, "beta_error": 2.0, "rmse_train": 3.0, "rmse_gmr": 4.25, "rmse_fmr": 5.0,
+        "n_iter": 103.5, "converged_frac": 0.5,
+    }
+    assert list(row) == aggregate_columns(small_spec())
+
+
+def test_spec_em_defaults_are_em_config_defaults():
+    spec = BenchmarkSpec(n=80, K=2, p=2, G=4, sigma=1.0, delta_beta=8.0)
+    assert spec._em_template() == EmConfig(K=1)
 
 
 def test_aggregate_columns_follow_requested_metrics():

@@ -217,6 +217,22 @@ def test_non_finite_test_csv_exit_1_and_no_output(sim_dir, tmp_path, capsys):
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("column, cells", [
+    ("y_pred", "1.0,nan"),
+    ("y_true", "inf,1.0"),
+    ("y_true", "1e500,1.0"),
+])
+def test_evaluate_non_finite_predictions_exit_1_and_no_output(tmp_path, capsys, column, cells):
+    # The reader accepts these cells; evaluate must not write them as NaN or
+    # Infinity, which is not JSON.
+    preds = tmp_path / "preds.csv"
+    preds.write_text(f"group,y_true,y_pred,log_density,used_fallback\ng0,{cells},-1.0,0\n")
+    out = tmp_path / "metrics.json"
+    assert run(["evaluate", "--predictions", str(preds), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {preds}: {column} contains NaN or infinite values\n"
+    assert not out.exists()
+
+
 def test_select_k_writes_report_pair(sim_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(
@@ -484,6 +500,26 @@ def test_installed_script_entry_point(tmp_path):
                           env=env)
     assert proc.returncode == 2
     assert "required" in proc.stderr
+
+
+def _run_module(*args):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", *args], capture_output=True, text=True, env=env)
+
+
+def test_python_dash_m_gmr_runs_the_cli():
+    proc = _run_module("gmr", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")
+    assert "{simulate,fit,predict,evaluate,select-k,benchmark}" in proc.stdout
+
+
+def test_python_dash_m_gmr_cli_runs_the_cli():
+    proc = _run_module("gmr.cli", "fit")
+    assert proc.returncode == 2
+    assert "the following arguments are required: --data, --out" in proc.stderr
 
 
 def test_simulate_split_formats_each_group_once(tmp_path, monkeypatch):

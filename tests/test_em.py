@@ -462,15 +462,32 @@ def test_init_kmeans_zero_feature_group_raises_through_ladder(monkeypatch):
 def test_kmeans_starts_of_a_fit_share_one_solve_of_the_group_systems(monkeypatch):
     d, _ = generate(SimConfig(n=600, K=3, p=3, G=10, sigma=4.0, delta_beta=6.0, seed=4))
     solves, starts = [], []
-    real_coefs, real_start = em._group_coefs, em._kmeans_start
-    monkeypatch.setattr(em, "_group_coefs", lambda *a: solves.append(a) or real_coefs(*a))
-    monkeypatch.setattr(em, "_kmeans_start", lambda *a: starts.append(real_start(*a)) or starts[-1])
-    fit(d, EmConfig(K=3, n_restarts=5, init="kmeans_on_group_coefs", seed=8))
+    real_solve, real_init = em._solve_spd, em.init_responsibilities
+
+    def solve(A, b, rel_ridge):
+        if rel_ridge == em.GROUP_COEF_RIDGE_REL:
+            solves.append(A)
+        return real_solve(A, b, rel_ridge)
+
+    def init(*args, **kwargs):
+        starts.append((args, real_init(*args, **kwargs)))
+        return starts[-1][1]
+
+    monkeypatch.setattr(em, "_solve_spd", solve)
+    monkeypatch.setattr(em, "init_responsibilities", init)
+    cfg = EmConfig(K=3, n_restarts=5, init="kmeans_on_group_coefs", seed=8)
+    fit(d, cfg)
     assert len(solves) == 1 and len(starts) == 5
-    # Each start is the one init_responsibilities draws from the restart's seed.
-    for tau, seed in zip(starts, np.random.SeedSequence(8).spawn(5)):
-        alone = init_responsibilities(d.R, 3, "kmeans_on_group_coefs", seed, stats=d)
-        assert np.array_equal(tau, alone.tau)
+    # Each restart starts through init_responsibilities with its own spawned seed.
+    for (args, tau), child in zip(starts, np.random.SeedSequence(8).spawn(5)):
+        R, K, strategy, seed = args
+        assert (R, K, strategy) == (d.R, 3, "kmeans_on_group_coefs")
+        assert (seed.entropy, seed.spawn_key) == (child.entropy, child.spawn_key)
+        alone = real_init(d.R, 3, "kmeans_on_group_coefs", child, stats=d)
+        assert np.array_equal(tau.tau, alone.tau)
+    # The solve is kept on the dataset: a second fit solves nothing.
+    fit(d, cfg)
+    assert len(solves) == 1 and len(starts) == 10
 
 
 def test_kmeans_starts_that_cannot_solve_the_group_systems_fail_every_restart():
