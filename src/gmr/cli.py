@@ -92,6 +92,14 @@ def _config(cls, args: argparse.Namespace):
         raise _UsageError(str(exc)) from None
 
 
+def _report_paths(out: str) -> tuple[Path, Path]:
+    """The report path ``out`` and its CSV table beside it; ``*.csv`` is a usage error."""
+    report = Path(out)
+    if report.suffix == ".csv":  # the table would overwrite the report
+        raise _UsageError(f"--out {out} ends in .csv, the suffix of its CSV table; pick another")
+    return report, report.with_suffix(".csv")
+
+
 def _size_summary(sizes) -> str:
     counts = Counter(int(s) for s in sizes)
     return ", ".join(f"{cnt} of {size}" for size, cnt in sorted(counts.items(), reverse=True))
@@ -210,6 +218,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_select_k(args: argparse.Namespace) -> int:
+    out, csv_path = _report_paths(args.out)
     data = io.read_dataset_csv(args.data)
     grid = _parse_k_grid(args.k_grid)
     flags = {name: getattr(args, name) for name in ("epsilon", "max_iter", "n_restarts", "init")}
@@ -227,13 +236,15 @@ def cmd_select_k(args: argparse.Namespace) -> int:
         raise  # data and runtime errors exit 1, even those that are ValueErrors
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    out = Path(args.out)
-    io.write_selection_report(report, out, out.with_suffix(".csv"))
+    io.write_selection_report(report, out, csv_path)
     print(f"best_k={report.best_k} best_mixture_k={report.best_mixture_k} n_reps={report.n_reps}")
     return 0
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    out, csv_path = _report_paths(args.out)
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     doc = _load_config_file(args.spec)
     if not doc:
         raise _UsageError(f"benchmark spec {args.spec} is empty")
@@ -243,9 +254,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             spec = replace(spec, seed=args.seed)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     records = []
     with out.open("w") as fh:
         for record in bench.iter_records(spec, jobs=args.jobs):
@@ -253,7 +262,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             records.append(record)
     rows = bench.aggregate(records)
     columns = bench.aggregate_columns(spec)
-    csv_path = out.with_suffix(".csv")
     io._write_table_csv(columns, ([row[c] for c in columns] for row in rows), csv_path)
     n_failed = sum(row["n_failed"] for row in rows)
     print(
@@ -344,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--k-grid", required=True, help="candidates, e.g. '2,3,4' or '2-8'")
     sel.add_argument("--reps", type=int, default=10, help="hold-out repetitions (default 10)")
     sel.add_argument("--test-frac", type=float, default=0.2, help="per-group hold-out fraction")
-    sel.add_argument("--out", required=True, help="report JSON path (a CSV twin is written beside it)")
+    sel.add_argument("--out", required=True, help="report JSON path, not *.csv (CSV table beside it)")
     sel.set_defaults(func=cmd_select_k)
 
     ben = sub.add_parser("benchmark", help="run a Monte Carlo grid sweep")
     ben.add_argument("--spec", required=True, help="benchmark spec JSON")
-    ben.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    ben.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)")
     ben.add_argument("--seed", type=int, help="override the spec's seed")
-    ben.add_argument("--out", required=True, help="JSON-lines output path (aggregate CSV beside it)")
+    ben.add_argument("--out", required=True, help="JSON-lines path, not *.csv (aggregate CSV beside it)")
     ben.set_defaults(func=cmd_benchmark)
 
     return parser

@@ -3,6 +3,8 @@
 A dataset is an ordered collection of groups.  Every observation in a group is
 known to come from a single latent regression cluster, so posteriors live at
 the group level while responses and features live at the observation level.
+The dataset owns its row layout (groups contiguous, in order): every other
+module reads it from `offsets`, `responses` and the block gather `_blocks`.
 Each group's rows are reduced once, when first needed, to a small triangular
 factor (`GroupedDataset.factors`), and the group's second moments
 (`GroupedDataset.sigma_hat`, `GroupedDataset.rho_hat`) are read once off that
@@ -38,6 +40,9 @@ __all__ = [
     "compute_group_stats",
     "validate_dataset",
 ]
+
+
+BLOCK_ROWS = 4096  # most rows in a `GroupedDataset._blocks` block, unless one group has more
 
 
 def _readonly(x, dtype=float) -> np.ndarray:
@@ -156,22 +161,34 @@ class GroupedDataset:
 
     @cached_property
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Observations stacked group-contiguously.
-
-        Returns
-        -------
-        y : ndarray, shape (n,)
-        X : ndarray, shape (n, p)
-        offsets : ndarray, shape (R,)
-            Start index of each group's block; suitable for
-            ``np.add.reduceat`` along axis 0.
-        """
-        y = _readonly(np.concatenate([g.responses for g in self.groups]))
+        """Read-only ``(y, X, offsets)``: `responses`, the feature rows (n, p) and `offsets`."""
         X = _readonly(np.concatenate([g.features for g in self.groups], axis=0))
-        offsets = np.zeros(self.R, dtype=np.intp)
-        np.cumsum(self.n_r[:-1], out=offsets[1:])
-        offsets.setflags(write=False)
-        return y, X, offsets
+        return _readonly(self.responses), X, self.offsets
+
+    @cached_property
+    def offsets(self) -> NDArray[np.intp]:
+        """Start row of each group in dataset row order, shape (R,); fit for ``np.add.reduceat``."""
+        return _readonly(np.cumsum(self.n_r) - self.n_r, dtype=np.intp)
+
+    @property
+    def responses(self) -> NDArray[np.float64]:
+        """Every response in dataset row order, shape (n,); a new array on each call."""
+        return np.concatenate([g.responses for g in self.groups])
+
+    def _blocks(self):
+        """Yield ``(idx, rows)`` per block of groups of one size n, by increasing n.
+
+        ``rows[j]`` (n, p + 1) is ``[X_r | y_r]`` of group ``r = idx[j]``; a block
+        holds at most ``BLOCK_ROWS`` rows, or one larger group.
+        """
+        for n in np.unique(self.n_r):
+            same = np.flatnonzero(self.n_r == n)
+            step = max(1, BLOCK_ROWS // int(n))
+            for idx in np.split(same, range(step, same.size, step)):
+                rows = np.empty((idx.size, n, self.p + 1))
+                for j, r in enumerate(idx):
+                    rows[j, :, :-1], rows[j, :, -1] = self.groups[r].features, self.groups[r].responses
+                yield idx, rows
 
     @cached_property
     def factors(self) -> NDArray[np.float64]:
@@ -186,16 +203,12 @@ class GroupedDataset:
         ``mean(y^2) - 2 b'mean(y x) + b'mean(x x')b``, this does not cancel
         catastrophically when the responses sit far from zero.
 
-        Groups of equal size are factored in one batched call.
+        Each block of `_blocks` is factored in one batched call.
         """
         q = self.p + 1
         T = np.zeros((self.R, q, q))
-        for n in np.unique(self.n_r):
-            idx = np.flatnonzero(self.n_r == n)
-            rows = np.empty((idx.size, n, q))
-            for j, r in enumerate(idx):
-                rows[j, :, :-1] = self.groups[r].features
-                rows[j, :, -1] = self.groups[r].responses
+        for idx, rows in self._blocks():
+            n = rows.shape[1]
             T[idx, : min(n, q)] = np.linalg.qr(rows, mode="r") / np.sqrt(n)
         T.setflags(write=False)
         return T

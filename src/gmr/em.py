@@ -446,12 +446,17 @@ def _repair_hard_labels(labels: np.ndarray, K: int, rng: np.random.Generator) ->
     return labels
 
 
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (R, C) from each of R points to each of C centers."""
+    return ((points[:, None, :] - centers) ** 2).sum(axis=2)
+
+
 def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     """Plain k-means with k-means++ seeding; returns labels with no empty cluster."""
     R = points.shape[0]
     centers = np.empty((K, points.shape[1]))
     centers[0] = points[rng.integers(R)]
-    closest = ((points - centers[0]) ** 2).sum(axis=1)
+    closest = _sq_dists(points, centers[:1])[:, 0]
     for j in range(1, K):
         total = closest.sum()
         if total > 0:
@@ -459,15 +464,15 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
         else:  # all points coincide with a chosen center
             idx = rng.integers(R)
         centers[j] = points[idx]
-        closest = np.minimum(closest, ((points - centers[j]) ** 2).sum(axis=1))
+        closest = np.minimum(closest, _sq_dists(points, centers[j : j + 1])[:, 0])
 
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(points, centers)
     labels = d2.argmin(axis=1)
     for _ in range(KMEANS_ITERS):
         labels = _fill_empty_clusters(labels, d2, K)
         for k in range(K):
             centers[k] = points[labels == k].mean(axis=0)
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(points, centers)
         new_labels = d2.argmin(axis=1)
         if (new_labels == labels).all():
             break
@@ -656,7 +661,7 @@ def _variance_floor(d: GroupedDataset, cfg: EmConfig) -> float:
     """
     if cfg.sigma2_floor is not None:
         return cfg.sigma2_floor
-    var_y = float(np.var(np.concatenate([g.responses for g in d.groups])))
+    var_y = float(np.var(d.responses))
     return VAR_FLOOR_REL * var_y if var_y > 0 else VAR_FLOOR_REL
 
 

@@ -201,13 +201,12 @@ def _write_dataset_csvs(d: GroupedDataset, outputs) -> None:
     bytes `write_dataset_csv` writes for the dataset of its rows.
     """
     header = ",".join(["group", "y"] + [f"x{j + 1}" for j in range(d.p)]) + "\n"
-    starts = np.cumsum(d.n_r)[:-1]
     with ExitStack() as stack:
         files = []
         for path, rows in outputs:
             fh = stack.enter_context(Path(path).open("w", newline=""))
             fh.write(header)
-            files.append((fh, None if rows is None else np.split(rows, starts)))
+            files.append((fh, None if rows is None else np.split(rows, d.offsets[1:])))
         for r, g in enumerate(d.groups):
             values = np.column_stack([g.responses, g.features])
             lines = _csv_lines(_csv_field(g.id) + ",", values, "")

@@ -74,19 +74,14 @@ def nmi(true_labels, est_labels) -> float:
     v = _as_labels(est_labels, "est_labels")
     if u.shape != v.shape:
         raise LengthMismatchError(f"label lengths differ: {u.size} vs {v.size}")
-    _, ui = np.unique(u, return_inverse=True)
-    _, vi = np.unique(v, return_inverse=True)
-    c = np.zeros((ui.max() + 1, vi.max() + 1))
-    np.add.at(c, (ui, vi), 1.0)
-    p = c / u.size
-    pu = p.sum(axis=1)
-    pv = p.sum(axis=0)
-    hu = -np.sum(pu[pu > 0] * np.log(pu[pu > 0]))
-    hv = -np.sum(pv[pv > 0] * np.log(pv[pv > 0]))
-    if hu == 0.0 and hv == 0.0:
+    # Codes from np.unique leave no empty row or column in the joint table.
+    p = confusion(np.unique(u, return_inverse=True)[1], np.unique(v, return_inverse=True)[1])
+    if p.shape == (1, 1):
         return 1.0
-    if hu == 0.0 or hv == 0.0:
+    if 1 in p.shape:
         return 0.0
+    pu, pv = p.sum(axis=1), p.sum(axis=0)
+    hu, hv = -np.sum(pu * np.log(pu)), -np.sum(pv * np.log(pv))
     mask = p > 0
     mi = np.sum(p[mask] * np.log(p[mask] / np.outer(pu, pv)[mask]))
     # mi can stray past the bound or below 0 only by rounding; clamp.

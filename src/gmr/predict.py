@@ -7,11 +7,11 @@ the group and mixing with the prior weights instead gives the plain mixture
 baseline used for comparison.
 
 `predict_groups` looks up every test group's posterior row once, then
-evaluates groups of equal size together: one stacked product gives the
-component means of a whole block of groups, another their point
-predictions, and one log-sum-exp their predictive densities.  A block holds
-at most ``BLOCK_ROWS`` rows, so memory stays bounded by the block, not by
-the dataset.
+evaluates the test set's equal-size blocks (`GroupedDataset._blocks`): one
+stacked product gives the component means of a whole block of groups,
+another their point predictions, and one log-sum-exp their predictive
+densities.  A block holds at most ``BLOCK_ROWS`` rows, so memory stays
+bounded by the block, not by the dataset.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-# Most rows `predict_groups` evaluates in one block (a single group larger
-# than this is a block of its own).
-BLOCK_ROWS = 4096
 
 
 def _log_mixture_density(y, weights, means, sigmas2) -> np.ndarray:
@@ -151,9 +147,9 @@ def predict_groups(
     ``on_unknown`` selects the behavior: ``"error"`` raises, ``"prior"`` falls
     back to mixing with pi (the observations are flagged in the output).
 
-    Groups of equal size are evaluated together, in blocks of at most
-    ``BLOCK_ROWS`` rows, and the results are written back in dataset order;
-    each group gets the same bits as it would alone.
+    Groups of equal size are evaluated together, one block of
+    `GroupedDataset._blocks` at a time, and the results are written back in
+    dataset order; each group gets the same bits as it would alone.
 
     Raises
     ------
@@ -182,28 +178,18 @@ def predict_groups(
     # One C-contiguous row per test group, whatever the memory order of tau.
     weights = np.where(unknown[:, None], params.pi, fit.tau.tau[rows])
 
-    n_r = test.n_r
-    offsets = np.zeros(test.R, dtype=np.intp)
-    np.cumsum(n_r[:-1], out=offsets[1:])
-    y_pred = np.empty(test.n)
-    log_density = np.empty(test.n)
-    for n in np.unique(n_r):
-        idx = np.flatnonzero(n_r == n)
-        step = max(1, BLOCK_ROWS // int(n))
-        for start in range(0, idx.size, step):
-            block = idx[start : start + step]
-            X = np.stack([test.groups[r].features for r in block])  # (G, n, p)
-            y = np.stack([test.groups[r].responses for r in block])  # (G, n)
-            w = weights[block]  # (G, K)
-            means = X @ params.beta  # (G, n, K)
-            at = offsets[block, None] + np.arange(n)
-            y_pred[at] = (means @ w[:, :, None])[..., 0]
-            log_density[at] = _log_mixture_density(y, w[:, None, :], means, params.sigma2)
+    y_pred, log_density = np.empty(test.n), np.empty(test.n)
+    for idx, rows in test._blocks():  # rows: (G, n, p + 1)
+        w = weights[idx]  # (G, K)
+        means = rows[..., :-1] @ params.beta  # (G, n, K)
+        at = test.offsets[idx, None] + np.arange(rows.shape[1])
+        y_pred[at] = (means @ w[:, :, None])[..., 0]
+        log_density[at] = _log_mixture_density(rows[..., -1], w[:, None, :], means, params.sigma2)
 
     return GroupPredictions(
         group=tuple(chain.from_iterable(repeat(g.id, g.n) for g in test.groups)),
-        y_true=np.concatenate([g.responses for g in test.groups]),
+        y_true=test.responses,
         y_pred=y_pred,
         log_density=log_density,
-        used_fallback=np.repeat(unknown, n_r),
+        used_fallback=np.repeat(unknown, test.n_r),
     )

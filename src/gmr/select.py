@@ -45,9 +45,8 @@ class SelectionReport:
 
 def baseline_mean(train: GroupedDataset, test: GroupedDataset) -> float:
     """Hold-out RMSE of always predicting the pooled training mean."""
-    y_train = train.stacked[0]
-    y_test = test.stacked[0]
-    return rmse(y_test, np.full(y_test.shape, y_train.mean()))
+    y_test = test.responses
+    return rmse(y_test, np.full(y_test.shape, train.responses.mean()))
 
 
 def baseline_ols(train: GroupedDataset, test: GroupedDataset, ridge: float = 1e-10) -> float:

@@ -242,11 +242,9 @@ def _test_rows(d: GroupedDataset, test_frac: float, seed=None) -> NDArray[np.boo
         )
     rng = np.random.default_rng(seed)
     held = np.zeros(d.n, dtype=bool)
-    start = 0
-    for g in d.groups:
+    for g, start in zip(d.groups, d.offsets):
         m = min(max(int(round(test_frac * g.n)), 1), g.n - 1)
         held[start + rng.permutation(g.n)[:m]] = True
-        start += g.n
     return held
 
 
@@ -263,7 +261,7 @@ def train_test_split(
     held = _test_rows(d, test_frac, seed)
     train_groups: list[Group] = []
     test_groups: list[Group] = []
-    for g, test in zip(d.groups, np.split(held, np.cumsum(d.n_r)[:-1])):
+    for g, test in zip(d.groups, np.split(held, d.offsets[1:])):
         train_groups.append(Group(g.id, g.responses[~test], g.features[~test]))
         test_groups.append(Group(g.id, g.responses[test], g.features[test]))
     return GroupedDataset(tuple(train_groups)), GroupedDataset(tuple(test_groups))

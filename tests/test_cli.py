@@ -405,6 +405,37 @@ def test_benchmark_jsonl_and_aggregate(tmp_path, capsys):
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["select-k", "benchmark"])
+def test_report_out_ending_in_csv_is_usage_error_before_any_read(tmp_path, capsys, command):
+    # The CSV table beside the report would overwrite it.  The input path does
+    # not exist, so reading it first would give another message.
+    missing = str(tmp_path / "missing.json")
+    source = ["--data", missing, "--k-grid", "2"] if command == "select-k" else ["--spec", missing]
+    out = tmp_path / "r.csv"
+    assert run([command, *source, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {out} ends in .csv, the suffix of its CSV table; pick another\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_benchmark_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "K": 2, "p": 2, "G": 4, "n": 60, "sigma": 1.0,
+                "delta_beta": 8.0, "n_reps": 1, "restarts": 2, "seed": 13,
+            }
+        )
+    )
+    out = tmp_path / "results.jsonl"
+    assert run(["benchmark", "--spec", str(spec), "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_benchmark_records_per_replication_failures(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(

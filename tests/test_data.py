@@ -16,6 +16,7 @@ from gmr import (
     compute_group_stats,
     validate_dataset,
 )
+from gmr.data import BLOCK_ROWS
 
 
 def make_dataset(groups):
@@ -136,6 +137,45 @@ def test_stacked_matches_group_blocks():
         assert_allclose(y[start : start + g.n], g.responses)
         assert_allclose(X[start : start + g.n], g.features)
         start += g.n
+
+
+def blocked_dataset():
+    """Groups in shuffled order: size 3 fills several blocks, one group is larger
+    than a block, and sizes 1 and 3 sit below p + 1 = 5."""
+    rng = np.random.default_rng(5)
+    sizes = rng.permutation([3] * (2 * BLOCK_ROWS // 3 + 7) + [1] * 20 + [6] * 9 + [BLOCK_ROWS + 3])
+    return make_dataset([(rng.normal(size=n) + 100.0, rng.normal(size=(n, 4))) for n in sizes])
+
+
+def test_offsets_and_responses_are_the_stacked_layout():
+    d = blocked_dataset()
+    y, _, offsets = d.stacked
+    assert d.offsets.dtype == np.intp and not d.offsets.flags.writeable
+    assert np.array_equal(d.offsets, offsets)
+    assert np.array_equal(d.responses, y)
+
+
+def test_blocks_hold_every_group_once_in_bounded_blocks_of_one_size():
+    d = blocked_dataset()
+    seen = []
+    for idx, rows in d._blocks():
+        n = rows.shape[1]
+        assert rows.shape == (idx.size, n, d.p + 1)
+        assert (d.n_r[idx] == n).all()
+        assert idx.size * n <= BLOCK_ROWS or idx.size == 1
+        for j, r in enumerate(idx):
+            g = d.groups[r]
+            assert np.array_equal(rows[j], np.column_stack([g.features, g.responses]))
+        seen.extend(idx.tolist())
+    assert sorted(seen) == list(range(d.R))
+    assert sum(1 for idx, rows in d._blocks() if rows.shape[1] == 3) >= 2
+
+
+def test_blocked_factors_equal_each_group_factored_alone():
+    d = blocked_dataset()
+    assert d.n_r.max() > BLOCK_ROWS
+    for r, g in enumerate(d.groups):
+        assert np.array_equal(d.factors[r], GroupedDataset((g,)).factors[0])
 
 
 def factor_gram(s, r):

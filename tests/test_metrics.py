@@ -1,5 +1,7 @@
 """Clustering and prediction metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -103,6 +105,19 @@ def test_nmi_single_class_conventions():
     assert nmi([1, 1, 1], [1, 1, 1]) == 1.0
     assert nmi([1, 1, 1], [0, 1, 2]) == 0.0
     assert nmi([0, 1, 2], [1, 1, 1]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "single, multi", [([0] * 6, [1, 3, 2, 0, 1, 2]), ([0] * 9, [0, 2, 2, 2, 2, 3, 4, 5, 6])]
+)
+def test_nmi_is_exactly_zero_when_one_side_is_single_class(single, multi):
+    # The single class's marginal entropy rounds to a few ulps, not to 0, so a
+    # test on it gave 1.8e-08 for the first pair and a NaN square root for
+    # the second.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nmi(single, multi) == 0.0
+        assert nmi(multi, single) == 0.0
 
 
 def test_nmi_symmetric_and_permutation_invariant():

@@ -27,8 +27,8 @@ from gmr import (
     predictive_density,
     train_test_split,
 )
+from gmr.data import BLOCK_ROWS
 from gmr.io import read_model_json, write_model_json
-from gmr.predict import BLOCK_ROWS
 
 
 def two_cluster_params():
