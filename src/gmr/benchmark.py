@@ -24,7 +24,7 @@ from .em import EmConfig, FitResult, fit
 from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
 from .predict import map_predict_fmr, predict_groups
-from .simulate import GroundTruth, SimConfig, generate, train_test_split
+from .simulate import GroundTruth, SimConfig, _group_id, generate, train_test_split
 
 __all__ = ["BenchmarkSpec", "aggregate", "aggregate_columns", "iter_records"]
 
@@ -119,10 +119,21 @@ class BenchmarkSpec:
 
 
 def _label_scores(result: FitResult, truth: GroundTruth) -> dict:
-    """``nmi`` and ``beta_error`` of a fit's hard labels against the generating truth."""
-    est = result.tau.hard_labels()
-    f = confusion(truth.labels, est, n_true=truth.beta_true.shape[1], n_est=result.params.K)
-    return {"nmi": nmi(truth.labels, est),
+    """``nmi`` and ``beta_error`` of a fit's hard labels against the generating truth.
+
+    Labels are paired by group id, so the order of the fit's groups does not
+    matter; an id the truth lacks is a `GmrError`, a different count a
+    `LengthMismatchError` (from `confusion`).
+    """
+    true, est = truth.labels, result.tau.hard_labels()
+    if len(result.group_ids) == true.size:
+        position = {_group_id(r): r for r in range(true.size)}
+        unknown = [gid for gid in result.group_ids if gid not in position]
+        if unknown:
+            raise GmrError(f"group {unknown[0]!r} of the fit is not a group of the truth")
+        true = true[[position[gid] for gid in result.group_ids]]
+    f = confusion(true, est, n_true=truth.beta_true.shape[1], n_est=result.params.K)
+    return {"nmi": nmi(true, est),
             "beta_error": beta_error(truth.beta_true, result.params.beta, f)}
 
 
@@ -134,19 +145,9 @@ def _holdout_rmse(result: FitResult, data: GroupedDataset) -> float:
 
 def _replicate(task: tuple) -> dict:
     cell, cell_idx, rep, base_seed, test_frac, em_template, want_rmse = task
-    record = {
-        **cell,
-        "rep": rep,
-        "seed": None,
-        "nmi": None,
-        "beta_error": None,
-        "rmse_train": None,
-        "rmse_test": None,
-        "rmse_fmr": None,
-        "n_iter": None,
-        "converged": None,
-        "error": None,
-    }
+    unset = ("seed", "nmi", "beta_error", "rmse_train", "rmse_test", "rmse_fmr", "n_iter",
+             "converged", "error")
+    record = {**cell, "rep": rep, **dict.fromkeys(unset)}
     seq = np.random.SeedSequence(base_seed, spawn_key=(cell_idx, rep))
     tag, s_gen, s_split, s_fit = (int(v) for v in seq.generate_state(4))
     record["seed"] = tag

@@ -92,12 +92,24 @@ def _config(cls, args: argparse.Namespace):
         raise _UsageError(str(exc)) from None
 
 
-def _report_paths(out: str) -> tuple[Path, Path]:
-    """The report path ``out`` and its CSV table beside it; ``*.csv`` is a usage error."""
-    report = Path(out)
-    if report.suffix == ".csv":  # the table would overwrite the report
+def _out_path(out: str) -> Path:
+    """``out`` with its directory created, before the work rather than after it."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _report_paths(out: str, source: str) -> tuple[Path, Path]:
+    """The report path ``out`` and its CSV table beside it, neither the input file ``source``.
+
+    An ``out`` ending in ``.csv`` is a usage error: the table would overwrite the report.
+    """
+    report, table = Path(out), Path(out).with_suffix(".csv")
+    if report.suffix == ".csv":
         raise _UsageError(f"--out {out} ends in .csv, the suffix of its CSV table; pick another")
-    return report, report.with_suffix(".csv")
+    if any(p.exists() and Path(source).exists() and p.samefile(source) for p in (report, table)):
+        raise _UsageError(f"--out {out} would overwrite the input {source}; pick another")
+    return _out_path(out), table
 
 
 def _size_summary(sizes) -> str:
@@ -163,9 +175,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _config(EmConfig, args)
+    out = _out_path(args.out)
     data = io.read_dataset_csv(args.data)
     result = fit(data, cfg)
-    io.write_model_json(result, args.out)
+    io.write_model_json(result, out)
     print(
         f"log_likelihood={result.log_likelihood:.6f} n_iter={result.n_iter} "
         f"converged={result.converged}"
@@ -174,10 +187,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    out = _out_path(args.out)
     model = io.read_model_json(args.model)
     data = io.read_dataset_csv(args.data)
     preds = predict_groups(model, data, on_unknown=args.fallback)
-    io.write_predictions_csv(preds, args.out)
+    io.write_predictions_csv(preds, out)
     n_fallback = int(preds.used_fallback.sum())
     print(f"wrote {len(preds.y_pred)} predictions ({n_fallback} with prior fallback)")
     return 0
@@ -192,6 +206,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise _UsageError("need --model (with --truth) and/or --predictions")
     if args.test is not None and args.predictions is not None:
         raise _UsageError("--test and --predictions both give rmse_test; pass one")
+    out = _out_path(args.out) if args.out else None
     metrics = ("nmi", "beta_error", "rmse_train", "rmse_test", "n_iter", "converged", "K")
     record = {**dict.fromkeys(metrics), "seed": args.seed}
     if args.model:
@@ -210,15 +225,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise NonFiniteError(f"{args.predictions}: {name} contains NaN or infinite values")
         record["rmse_test"] = rmse(cols["y_true"], cols["y_pred"])
     line = json.dumps(record)
-    if args.out:
-        Path(args.out).write_text(line + "\n")
+    if out:
+        out.write_text(line + "\n")
     else:
         print(line)
     return 0
 
 
 def cmd_select_k(args: argparse.Namespace) -> int:
-    out, csv_path = _report_paths(args.out)
+    out, csv_path = _report_paths(args.out, args.data)
     data = io.read_dataset_csv(args.data)
     grid = _parse_k_grid(args.k_grid)
     flags = {name: getattr(args, name) for name in ("epsilon", "max_iter", "n_restarts", "init")}
@@ -242,9 +257,9 @@ def cmd_select_k(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    out, csv_path = _report_paths(args.out)
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    out, csv_path = _report_paths(args.out, args.spec)
     doc = _load_config_file(args.spec)
     if not doc:
         raise _UsageError(f"benchmark spec {args.spec} is empty")
@@ -254,7 +269,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             spec = replace(spec, seed=args.seed)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
-    out.parent.mkdir(parents=True, exist_ok=True)
     records = []
     with out.open("w") as fh:
         for record in bench.iter_records(spec, jobs=args.jobs):

@@ -431,15 +431,16 @@ def m_step_sigma2(
     return _m_step_sigma2(w_check, E, floor)
 
 
-def _repair_hard_labels(labels: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    """Reassign random donor groups until every cluster owns at least one."""
+def _fill_empty_clusters(labels: np.ndarray, K: int, pick) -> np.ndarray:
+    """Move into each empty cluster the group ``pick(donors, labels)`` chooses.
+
+    ``donors`` are the groups whose cluster holds at least two, so a move never
+    empties a cluster and one pass over the clusters empty at the start fills them.
+    """
     labels = labels.copy()
     counts = np.bincount(labels, minlength=K)
-    for k in range(K):
-        if counts[k] > 0:
-            continue
-        donors = np.flatnonzero(counts[labels] >= 2)
-        i = donors[rng.integers(donors.size)]
+    for k in np.flatnonzero(counts == 0):
+        i = pick(np.flatnonzero(counts[labels] >= 2), labels)
         counts[labels[i]] -= 1
         labels[i] = k
         counts[k] += 1
@@ -466,10 +467,13 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
         centers[j] = points[idx]
         closest = np.minimum(closest, _sq_dists(points, centers[j : j + 1])[:, 0])
 
+    def farthest(donors, labels):  # the first donor farthest from its own center
+        return donors[np.argmax(d2[donors, labels[donors]])]
+
     d2 = _sq_dists(points, centers)
     labels = d2.argmin(axis=1)
     for _ in range(KMEANS_ITERS):
-        labels = _fill_empty_clusters(labels, d2, K)
+        labels = _fill_empty_clusters(labels, K, farthest)
         for k in range(K):
             centers[k] = points[labels == k].mean(axis=0)
         d2 = _sq_dists(points, centers)
@@ -477,23 +481,7 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
         if (new_labels == labels).all():
             break
         labels = new_labels
-    return _fill_empty_clusters(labels, d2, K)
-
-
-def _fill_empty_clusters(labels: np.ndarray, d2: np.ndarray, K: int) -> np.ndarray:
-    """Give each empty cluster the point currently worst-served by its own center."""
-    labels = labels.copy()
-    counts = np.bincount(labels, minlength=K)
-    for k in range(K):
-        if counts[k] > 0:
-            continue
-        own = d2[np.arange(labels.size), labels]
-        own = np.where(counts[labels] >= 2, own, -np.inf)  # never empty another cluster
-        i = int(np.argmax(own))
-        counts[labels[i]] -= 1
-        labels[i] = k
-        counts[k] += 1
-    return labels
+    return _fill_empty_clusters(labels, K, farthest)
 
 
 def _group_coefs(stats: GroupedDataset) -> np.ndarray:
@@ -547,7 +535,9 @@ def init_responsibilities(
     if R < K:
         raise TooFewGroupsError(f"{strategy} needs R >= K, got R={R}, K={K}")
     if strategy == "random_hard":
-        return Responsibilities(np.eye(K)[_repair_hard_labels(rng.integers(K, size=R), K, rng)])
+        labels = rng.integers(K, size=R)
+        labels = _fill_empty_clusters(labels, K, lambda d, _: d[rng.integers(d.size)])
+        return Responsibilities(np.eye(K)[labels])
     if strategy == "kmeans_on_group_coefs":
         if stats is None:
             raise ValueError("kmeans_on_group_coefs requires group stats")

@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "AllRestartsFailedError",
+    "DimensionMismatchError",
+    "DuplicateGroupIdError",
+    "EmptyClusterError",
+    "EmptyGroupError",
+    "GmrError",
+    "GroupTooSmallError",
+    "InfeasibleError",
+    "LengthMismatchError",
+    "NonFiniteError",
+    "SingularSystemError",
+    "TooFewGroupsError",
+    "TooManyGroupsError",
+    "UnknownGroupError",
+]
+
 
 class GmrError(Exception):
     """Base class for every error raised by this package."""

@@ -188,6 +188,11 @@ def partition_groups(count: int, G: int) -> NDArray[np.int64]:
     return sizes
 
 
+def _group_id(r: int) -> str:
+    """Id of the r-th group `generate` draws, which is ``truth.labels[r]``'s group."""
+    return f"g{r}"
+
+
 def generate(cfg: SimConfig) -> tuple[GroupedDataset, GroundTruth]:
     """Draw one synthetic dataset and its ground truth.
 
@@ -216,7 +221,7 @@ def generate(cfg: SimConfig) -> tuple[GroupedDataset, GroundTruth]:
             x = rng.standard_normal((size, cfg.p)) @ chol.T
             eps = cfg.sigma * rng.standard_normal(size)
             y = x @ beta[:, k] + eps
-            groups.append(Group(id=f"g{len(groups)}", responses=y, features=x))
+            groups.append(Group(id=_group_id(len(groups)), responses=y, features=x))
             labels.append(k)
     truth = GroundTruth(
         beta_true=beta,

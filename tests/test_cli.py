@@ -179,6 +179,42 @@ def test_evaluate_writes_file_and_is_deterministic(sim_dir, tmp_path):
     assert record["rmse_test"] is not None
 
 
+def _reorder_posteriors(model: Path, dest: Path, order) -> None:
+    doc = json.loads(model.read_text())
+    posteriors = list(doc["group_posteriors"].items())
+    doc["group_posteriors"] = dict(posteriors[i] for i in order)
+    dest.write_text(json.dumps(doc))
+
+
+def test_evaluate_truth_pairs_labels_by_group_id(sim_dir, tmp_path, capsys):
+    # A dataset's groups keep the order of their first row, so a model fitted
+    # to shuffled rows lists them out of generation order.
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1",
+                "--out", str(model)]) == 0
+    shuffled = tmp_path / "shuffled.json"
+    _reorder_posteriors(model, shuffled, np.random.default_rng(0).permutation(10))
+    records = []
+    for path in (model, shuffled):
+        capsys.readouterr()
+        assert run(["evaluate", "--model", str(path), "--truth", str(sim_dir / "truth.json")]) == 0
+        records.append(json.loads(capsys.readouterr().out))
+    assert records[1] == records[0]
+    assert records[0]["nmi"] == 1.0
+
+
+def test_evaluate_truth_with_a_group_it_does_not_know_exit_1(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1",
+                "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["group_posteriors"]["stranger"] = doc["group_posteriors"].pop("g3")
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--model", str(model), "--truth", str(sim_dir / "truth.json")]) == 1
+    assert "'stranger'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--truth", "--train", "--test"])
 def test_evaluate_flag_that_needs_model_is_usage_error(tmp_path, capsys, flag):
     preds = tmp_path / "preds.csv"  # never created: the check comes before any read
@@ -419,6 +455,25 @@ def test_report_out_ending_in_csv_is_usage_error_before_any_read(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["select-k", "benchmark"])
+def test_report_or_table_that_is_the_input_is_usage_error(sim_dir, tmp_path, capsys, command):
+    # select-k's table of --out d.json is d.csv, its --data; benchmark's
+    # report is its own --spec.
+    if command == "select-k":
+        source = tmp_path / "d.csv"
+        shutil.copy(sim_dir / "train.csv", source)
+        args = ["--data", str(source), "--k-grid", "1-2", "--out", str(tmp_path / "d.json")]
+    else:
+        source = tmp_path / "s.json"
+        source.write_text(json.dumps({"K": 2, "p": 2, "G": 4, "n": 60, "sigma": 1.0,
+                                      "delta_beta": 8.0, "n_reps": 1, "seed": 13}))
+        args = ["--spec", str(source), "--out", str(source)]
+    before = source.read_bytes()
+    assert run([command, *args]) == 2
+    assert f"would overwrite the input {source}" in capsys.readouterr().err
+    assert source.read_bytes() == before
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_benchmark_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     spec = tmp_path / "spec.json"
@@ -507,6 +562,22 @@ def test_benchmark_spec_float_that_is_not_a_number_exit_2(tmp_path, capsys, fiel
     assert run(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {field} must be a number\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "evaluate", "select-k"])
+def test_missing_out_directory_is_created(sim_dir, tmp_path, command):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1",
+                "--out", str(model)]) == 0
+    out = tmp_path / "new" / "dir" / "out.json"
+    args = {
+        "fit": ["--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1"],
+        "predict": ["--model", str(model), "--data", str(sim_dir / "test.csv")],
+        "evaluate": ["--model", str(model), "--truth", str(sim_dir / "truth.json")],
+        "select-k": ["--data", str(sim_dir / "train.csv"), "--k-grid", "1-2", "--reps", "1"],
+    }[command]
+    assert run([command, *args, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
 
 
 def test_installed_script_entry_point(tmp_path):

@@ -1,11 +1,14 @@
 """What the package imports at run time: numpy and the standard library."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import gmr
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -47,6 +50,53 @@ def test_importing_the_cli_loads_no_scipy():
         "import sys\n"
         "import gmr, gmr.cli\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# The public surface of ``gmr``: each module's ``__all__``, sorted, plus ``__version__``.
+PUBLIC_NAMES = [
+    "AllRestartsFailedError", "BenchmarkSpec", "DimensionMismatchError",
+    "DuplicateGroupIdError", "EmConfig", "EmptyClusterError", "EmptyGroupError", "FitResult",
+    "GmrError", "GroundTruth", "Group", "GroupPredictions", "GroupTooSmallError",
+    "GroupedDataset", "InfeasibleError", "LengthMismatchError", "ModelParams", "NonFiniteError",
+    "PredictiveMixture", "Responsibilities", "SelectionReport", "SimConfig",
+    "SingularSystemError", "TooFewGroupsError", "TooManyGroupsError", "UnknownGroupError",
+    "aggregate", "aggregate_columns", "baseline_mean", "baseline_ols", "beta_error",
+    "compute_group_stats", "confusion", "e_step", "fit", "generate", "init_responsibilities",
+    "iter_records", "log_joint", "log_marginal_likelihood", "m_step_beta", "m_step_pi",
+    "m_step_sigma2", "map_predict_fmr", "map_predict_gmr", "nmi", "partition_groups",
+    "predict_groups", "predictive_density", "rmse", "select_k", "simplex_betas",
+    "train_test_split", "validate_dataset", "wishart_covariance", "__version__",
+]
+PUBLIC_MODULES = ("benchmark", "data", "em", "errors", "metrics", "predict", "select", "simulate")
+
+
+def test_the_package_exports_exactly_its_modules_public_names():
+    assert gmr.__all__ == PUBLIC_NAMES
+    homes = {f"gmr.{module}" for module in PUBLIC_MODULES}
+    for name in PUBLIC_NAMES[:-1]:
+        exported = getattr(gmr, name)
+        assert exported.__module__ in homes, name
+        assert getattr(importlib.import_module(exported.__module__), name) is exported
+    declared = [
+        name
+        for module in sorted(homes)
+        for name in getattr(importlib.import_module(module), "__all__", ())
+    ]
+    assert len(declared) == len(set(declared)), "a name is public in two modules"
+
+
+def test_importing_the_package_loads_no_io_cli_or_scipy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "import gmr\n"
+        "print(sorted(m for m in sys.modules if m in ('gmr.io', 'gmr.cli', 'scipy')"
+        " or m.startswith('scipy.')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
