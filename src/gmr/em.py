@@ -467,7 +467,7 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
         centers[j] = points[idx]
         closest = np.minimum(closest, _sq_dists(points, centers[j : j + 1])[:, 0])
 
-    def farthest(donors, labels):  # the first donor farthest from its own center
+    def farthest(donors, labels):  # the first donor farthest from its center in the current d2
         return donors[np.argmax(d2[donors, labels[donors]])]
 
     d2 = _sq_dists(points, centers)
