@@ -61,6 +61,22 @@ def _configure_logging() -> None:
     )
 
 
+def _c_allocator():
+    """glibc, set to map each buffer of 1 MiB or more on its own; None for other C libraries.
+
+    glibc's own threshold rises to each large buffer freed, and the heap's
+    layout then moved a pipeline's peak RSS by 10 MB from one run to the next.
+    `main` also hands the freed heap pages back when a command ends.
+    """
+    import ctypes
+
+    libc = None if sys.platform == "win32" else ctypes.CDLL(None)
+    if not hasattr(libc, "malloc_trim"):  # glibc has it with mallopt; macOS has neither
+        return None
+    libc.mallopt(-3, 1 << 20)  # -3 is M_MMAP_THRESHOLD
+    return libc
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -381,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
+    libc = _c_allocator()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -396,6 +413,9 @@ def main(argv=None) -> int:
         logger.debug("unexpected failure", exc_info=True)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if libc is not None:
+            libc.malloc_trim(0)
 
 
 def entrypoint() -> None:

@@ -7,8 +7,8 @@ and a bare ``\\n`` line terminator.
 Dataset and prediction CSVs go through one bulk codec.  A reader checks the
 header with `csv`, parses all data rows in one `numpy.loadtxt` call (ids
 quoted as RFC 4180 says, blank lines skipped, every row exactly as wide as
-the header) and slices the groups out of the one parsed array.  Where that
-call raises, or where numpy's float parser would accept a cell that
+the header) and gathers each group's rows out of the one parsed array.
+Where that call raises, or where numpy's float parser would accept a cell that
 ``float()`` rejects, the file takes the cold path instead: the cell-by-cell
 `csv.reader` loop that defines the format.  It accepts what ``float()``
 accepts and raises the `FormatError` naming the first offending
@@ -81,13 +81,18 @@ def _flag(text: str, where: str) -> bool:
 
 
 def _bulk_rows(fh, fields):
-    """Parse the rest of ``fh`` in one C-level call; None leaves it to the cold path."""
+    """Parse the rest of ``fh`` in one C-level call; None leaves it to the cold path.
+
+    The rows of one group share one id string, not one string per row each.
+    """
+    ids = {}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file without data rows
             return np.loadtxt(
                 _checked_lines(fh), dtype=np.dtype(fields), delimiter=",",
                 comments=None, quotechar='"', ndmin=1,
+                converters={0: lambda cell: ids.setdefault(cell, cell)},
             )
     except ValueError:  # also a UnicodeDecodeError, which the cold path re-raises
         return None
@@ -149,15 +154,13 @@ def _grouped(ids: np.ndarray, values: np.ndarray) -> GroupedDataset:
     """Rows ``[y, x...]`` grouped by id: groups by first appearance, rows in file order."""
     unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    group_of_row = position[inverse]
-    rows = values[np.argsort(group_of_row, kind="stable")]
-    blocks = np.split(rows, np.cumsum(np.bincount(group_of_row, minlength=order.size))[:-1])
+    group_of_row = np.argsort(order)[inverse]  # the inverse permutation of order, per row
+    bounds = np.cumsum(np.bincount(group_of_row, minlength=order.size))[:-1]
+    rows = np.split(np.argsort(group_of_row, kind="stable"), bounds)  # each group's row numbers
     return GroupedDataset(
         tuple(
-            Group(id=gid, responses=block[:, 0], features=block[:, 1:])
-            for gid, block in zip(unique[order].tolist(), blocks)
+            Group(id=gid, responses=values[idx, 0], features=values[idx, 1:])
+            for gid, idx in zip(unique[order].tolist(), rows)
         )
     )
 

@@ -688,3 +688,49 @@ def test_simulate_and_predict_outputs_match_pinned_digests(tmp_path):
         f"outputs differ under numpy {np.__version__}; "
         "the digests were pinned under numpy 2.4.6"
     )
+
+
+_MMAP_PROBE = """
+import ctypes, sys
+import numpy as np
+from gmr.cli import main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+
+def mapped_after_a_larger_free():
+    big = np.ones(1 << 20)  # 8 MiB: mapped, and by default its free raises the threshold past it
+    del big
+    before = libc.mallinfo2().hblkhd
+    buf = np.ones(1 << 18)  # 2 MiB
+    return libc.mallinfo2().hblkhd - before >= buf.nbytes
+
+if sys.argv[1:] == ["main"]:
+    main(["evaluate"])  # exits 2 at once; the threshold is fixed before any work
+print(mapped_after_a_larger_free())
+"""
+
+
+def test_main_maps_every_large_buffer_on_its_own_under_glibc():
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc or tuple(map(int, glibc.split()[1].split(".")[:2])) < (2, 33):
+        pytest.skip("needs glibc 2.33 or later, for mallinfo2")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    # Each in a fresh process: a heap chunk freed by the first probe would serve the second.
+    seen = []
+    for first in ([], ["main"]):
+        proc = subprocess.run([sys.executable, "-c", _MMAP_PROBE, *first], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        seen.append(proc.stdout.strip())
+    assert seen == ["False", "True"]
