@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import GroupedDataset, _check_fields, _check_integer, _check_real
+from .data import GroupedDataset, _check_integer, _check_real, _check_seed
 from .em import EmConfig, FitResult, fit
 from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
@@ -83,7 +83,8 @@ class BenchmarkSpec:
             if not values or any(v <= 0 for v in values):
                 raise ValueError(f"grid values for {name} must be positive and non-empty")
             object.__setattr__(self, name, values)
-        _check_fields(self, _check_integer, ("n_reps", "seed"), optional=("seed",))
+        _check_integer("n_reps", self.n_reps)
+        _check_seed(self)
         _check_real("test_frac", self.test_frac)
         if self.n_reps < 1:
             raise ValueError("n_reps must be at least 1")

@@ -6,7 +6,7 @@ diagnostics go to stderr at a level picked by the ``GMR_LOG`` environment
 variable (``error``, ``warn``, ``info``, ``debug``).  Every subcommand is
 deterministic given its ``--seed``.
 
-Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
+Exit codes: 0 on success, 1 on runtime failure or a bug's traceback, 2 on usage errors.
 
 The model has no implicit intercept: features are exactly the ``x1..xp``
 columns of the dataset.  To fit an intercept, append a constant column of
@@ -16,12 +16,13 @@ ones before fitting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args
 
@@ -77,31 +78,22 @@ def _c_allocator():
     return libc
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise _UsageError(f"config {path} must hold a JSON object")
-    return doc
+def _config(cls, args: argparse.Namespace, path: str | None):
+    """``cls`` built from the JSON settings file ``path`` (or none), overridden by every flag given.
 
-
-def _config(cls, args: argparse.Namespace):
-    """``cls`` built from the ``--config`` file, overridden by every flag given.
-
-    The config keys are the fields of ``cls``; each is also its flag's
-    argparse attribute.  Unknown keys and values ``cls`` rejects are usage
-    errors.
+    The settings keys are the fields of ``cls``; each is also the argparse
+    attribute of its flag, where the command has one.  A file that cannot be
+    read, unknown keys and values ``cls`` rejects are usage errors.
     """
     names = [f.name for f in fields(cls)]
-    conf = _load_config_file(args.config)
+    try:
+        conf = {} if path is None else io._read_json(path, dict)
+    except (OSError, io.FormatError) as exc:
+        raise _UsageError(str(exc)) from None
     unknown = set(conf) - set(names)
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    conf.update({name: getattr(args, name) for name in names if getattr(args, name) is not None})
+    conf.update({name: v for name in names if (v := getattr(args, name, None)) is not None})
     try:
         return cls(**conf)
     except (TypeError, ValueError) as exc:
@@ -168,7 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     the files hold the same bytes as writing the dataset and both halves of
     the split one by one.
     """
-    cfg = _config(SimConfig, args)
+    cfg = _config(SimConfig, args, args.config)
     data, truth = generate(cfg)
     out = Path(args.out)
     outputs = [(out / "dataset.csv", None)]
@@ -190,7 +182,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _config(EmConfig, args)
+    cfg = _config(EmConfig, args, args.config)
     out = _out_path(args.out)
     data = io.read_dataset_csv(args.data)
     result = fit(data, cfg)
@@ -236,6 +228,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             record["rmse_test"] = bench._holdout_rmse(model, io.read_dataset_csv(args.test))
     if args.predictions is not None:
         cols = io.read_predictions_csv(args.predictions)
+        if not cols["y_true"].size:
+            raise io.FormatError(f"{args.predictions}: no prediction rows")
         for name in ("y_true", "y_pred"):
             if not np.isfinite(cols[name]).all():
                 raise NonFiniteError(f"{args.predictions}: {name} contains NaN or infinite values")
@@ -250,18 +244,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_select_k(args: argparse.Namespace) -> int:
     out, csv_path = _report_paths(args.out, args.data)
+    template = _config(EmConfig, args, None)
     data = io.read_dataset_csv(args.data)
     grid = _parse_k_grid(args.k_grid)
-    flags = {name: getattr(args, name) for name in ("epsilon", "max_iter", "n_restarts", "init")}
     try:
-        template = EmConfig(K=1, **{name: v for name, v in flags.items() if v is not None})
         report = select_k(
-            data,
-            grid,
-            cfg=template,
-            test_frac=args.test_frac,
-            n_reps=args.reps,
-            seed=args.seed,
+            data, grid, cfg=template, test_frac=args.test_frac, n_reps=args.reps, seed=args.seed
         )
     except GmrError:
         raise  # data and runtime errors exit 1, even those that are ValueErrors
@@ -276,15 +264,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     out, csv_path = _report_paths(args.out, args.spec)
-    doc = _load_config_file(args.spec)
-    if not doc:
-        raise _UsageError(f"benchmark spec {args.spec} is empty")
-    try:
-        spec = bench.BenchmarkSpec.from_dict(doc)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
+    spec = _config(bench.BenchmarkSpec, args, args.spec)
     records = []
     with out.open("w") as fh:
         for record in bench.iter_records(spec, jobs=args.jobs):
@@ -383,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--reps", type=int, default=10, help="hold-out repetitions (default 10)")
     sel.add_argument("--test-frac", type=float, default=0.2, help="per-group hold-out fraction")
     sel.add_argument("--out", required=True, help="report JSON path, not *.csv (CSV table beside it)")
-    sel.set_defaults(func=cmd_select_k)
+    sel.set_defaults(func=cmd_select_k, K=1)  # the template K; select_k sets each candidate's
 
     ben = sub.add_parser("benchmark", help="run a Monte Carlo grid sweep")
     ben.add_argument("--spec", required=True, help="benchmark spec JSON")
@@ -395,11 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses; a new one per call would be cyclic garbage once parsed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _configure_logging()
     libc = _c_allocator()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -408,10 +393,6 @@ def main(argv=None) -> int:
     except (GmrError, OSError) as exc:
         logger.debug("failure detail", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # keep the exit-code contract even for surprises
-        logger.debug("unexpected failure", exc_info=True)
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:
         if libc is not None:

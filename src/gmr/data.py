@@ -72,6 +72,13 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a number")
 
 
+def _check_seed(cfg) -> None:
+    """Raise ValueError unless ``cfg.seed`` is None or an integer numpy can seed with, 0 or more."""
+    _check_fields(cfg, _check_integer, ("seed",), optional=("seed",))
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 def _check_fields(cfg, rule, names, optional=()) -> None:
     """``rule(name, value)`` on each field of ``cfg`` in ``names``; those in ``optional`` may be None."""
     for name in names:

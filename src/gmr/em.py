@@ -50,6 +50,7 @@ from .data import (
     _check_fields,
     _check_integer,
     _check_real,
+    _check_seed,
     _readonly,
     compute_group_stats,
 )
@@ -134,7 +135,7 @@ class EmConfig:
         Escalated by factors of 10 up to 1e-4 before a system is declared
         singular.
     seed : int or None
-        Master seed; per-restart seeds are derived from it deterministically.
+        Master seed, 0 or more; per-restart seeds derive from it deterministically.
 
     Counts must be integers and ``epsilon``, ``ridge`` and ``sigma2_floor``
     numbers (``bool`` is neither); a violation raises ``ValueError`` naming
@@ -151,8 +152,8 @@ class EmConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_fields(self, _check_integer, ("K", "max_iter", "n_restarts", "seed"),
-                      optional=("seed",))
+        _check_fields(self, _check_integer, ("K", "max_iter", "n_restarts"))
+        _check_seed(self)
         _check_fields(self, _check_real, ("epsilon", "ridge", "sigma2_floor"),
                       optional=("sigma2_floor",))
         if self.K < 1:

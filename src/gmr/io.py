@@ -120,34 +120,38 @@ def _read_rows(path: Path, header_ok, expected: str, flagged: bool = False):
     """Ids, values (rows, m) and flags (or None) of the rows ``id,v1,...,vm[,flag]``.
 
     The header must satisfy ``header_ok``; m is its width less the id and flag
-    columns.  The bulk parse takes flags written exactly ``0`` or ``1``.
+    columns.  The bulk parse takes flags written exactly ``0`` or ``1``.  A
+    file that is not UTF-8 text raises `FormatError`.
     """
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or not header_ok(header):
-            raise FormatError(f"{path}: expected header {expected}, got {header!r}")
-        width = len(header)
-        m = width - 1 - flagged
-        fields = [("group", object), ("values", float, (m,))] + [("flag", object)] * flagged
-        table = _bulk_rows(fh, fields)
-    if table is not None:
-        if not flagged:
-            return table["group"], table["values"], None
-        flags = table["flag"]
-        used = flags == "1"
-        if (used | (flags == "0")).all():  # ``int()`` reads other spellings below
-            return table["group"].copy(), table["values"], used
-    ids, values, flags = [], [], []
-    for lineno, row in _cold_records(path):
-        where = f"{path}:{lineno}"
-        if len(row) != width:
-            raise FormatError(f"{where}: expected {width} columns, got {len(row)}")
-        ids.append(row[0])
-        values.append([_float(cell, where) for cell in row[1 : m + 1]])
-        if flagged:
-            flags.append(_flag(row[-1], where))
-    flags = np.array(flags, dtype=bool) if flagged else None
-    return np.array(ids, dtype=object), np.array(values).reshape(-1, m), flags
+    try:
+        with path.open(newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or not header_ok(header):
+                raise FormatError(f"{path}: expected header {expected}, got {header!r}")
+            width = len(header)
+            m = width - 1 - flagged
+            fields = [("group", object), ("values", float, (m,))] + [("flag", object)] * flagged
+            table = _bulk_rows(fh, fields)
+        if table is not None:
+            if not flagged:
+                return table["group"], table["values"], None
+            flags = table["flag"]
+            used = flags == "1"
+            if (used | (flags == "0")).all():  # ``int()`` reads other spellings below
+                return table["group"].copy(), table["values"], used
+        ids, values, flags = [], [], []
+        for lineno, row in _cold_records(path):
+            where = f"{path}:{lineno}"
+            if len(row) != width:
+                raise FormatError(f"{where}: expected {width} columns, got {len(row)}")
+            ids.append(row[0])
+            values.append([_float(cell, where) for cell in row[1 : m + 1]])
+            if flagged:
+                flags.append(_flag(row[-1], where))
+        flags = np.array(flags, dtype=bool) if flagged else None
+        return np.array(ids, dtype=object), np.array(values).reshape(-1, m), flags
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _grouped(ids: np.ndarray, values: np.ndarray) -> GroupedDataset:
@@ -233,7 +237,14 @@ def write_model_json(result: FitResult, path) -> None:
         "n_iter": result.n_iter,
         "converged": result.converged,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(doc, path)
+
+
+def _write_json(doc: dict, path) -> None:
+    """Write ``doc`` as indented JSON and a final newline, encoded straight to the file."""
+    with Path(path).open("w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _read_json(path, build):
@@ -245,7 +256,7 @@ def _read_json(path, build):
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")
@@ -253,7 +264,7 @@ def _read_json(path, build):
         return build(doc)
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -296,7 +307,7 @@ def write_truth_json(truth: GroundTruth, cfg: SimConfig, path) -> None:
         "Sigma_x": truth.Sigma_x.tolist(),
         "config": dataclasses.asdict(cfg),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(doc, path)
 
 
 def _truth(doc: dict) -> tuple[GroundTruth, SimConfig]:
@@ -306,6 +317,10 @@ def _truth(doc: dict) -> tuple[GroundTruth, SimConfig]:
         sigma_true=doc["sigma"],
         Sigma_x=doc["Sigma_x"],
     )
+    labels, beta = truth.labels, truth.beta_true
+    K = beta.shape[1] if beta.ndim == 2 else 0  # a flat beta_true holds no coefficient vector
+    if labels.ndim != 1 or not labels.size or not ((labels >= 0) & (labels < K)).all():
+        raise ValueError(f"labels must be a non-empty list in 0..{K - 1}, the columns of beta_true")
     return truth, SimConfig(**doc["config"])
 
 
@@ -353,7 +368,7 @@ def write_selection_report(report: SelectionReport, json_path, csv_path) -> None
         "best_mixture_k": report.best_mixture_k,
         "n_reps": report.n_reps,
     }
-    Path(json_path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(doc, json_path)
     rows = ([k, report.rmse_by_k[k], report.sd_by_k[k]] for k in sorted(report.rmse_by_k))
     _write_table_csv(["K", "mean_rmse", "sd_rmse"], rows, csv_path)
 

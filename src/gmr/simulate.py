@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import Group, GroupedDataset, _check_fields, _check_integer, _check_real, _readonly
+from .data import Group, GroupedDataset, _check_fields, _check_integer, _check_real, _check_seed, _readonly
 from .errors import GroupTooSmallError, InfeasibleError, TooManyGroupsError
 
 __all__ = [
@@ -54,6 +54,7 @@ class SimConfig:
         Degrees of freedom for the design covariance draw; ``None`` means
         ``p + 2``.
     seed : int or None
+        Master seed, 0 or more.
     """
 
     n: int
@@ -66,10 +67,8 @@ class SimConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_fields(
-            self, _check_integer, ("n", "K", "p", "G", "wishart_df", "seed"),
-            optional=("wishart_df", "seed"),
-        )
+        _check_fields(self, _check_integer, ("n", "K", "p", "G", "wishart_df"), optional=("wishart_df",))
+        _check_seed(self)
         _check_fields(self, _check_real, ("sigma", "delta_beta"))
         if self.K < 1 or self.p < 1 or self.G < 1:
             raise ValueError("K, p and G must all be at least 1")

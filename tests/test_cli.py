@@ -13,6 +13,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
+import gmr.cli
 import gmr.io
 from gmr.cli import build_parser, main
 from gmr.em import InitStrategy
@@ -734,3 +735,130 @@ def test_main_maps_every_large_buffer_on_its_own_under_glibc():
         assert proc.returncode == 0, proc.stderr
         seen.append(proc.stdout.strip())
     assert seen == ["False", "True"]
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # Each parser is cyclic garbage once parsed, so main keeps one.
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(gmr.cli, "build_parser", counting_build_parser)
+    gmr.cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run(["evaluate", "--truth", str(tmp_path / "t.json")]) == 2
+    finally:
+        gmr.cli._parser.cache_clear()
+    assert built == [1]
+    assert build_parser() is not build_parser()
+
+
+def test_a_bug_in_a_command_propagates_out_of_main(tmp_path, monkeypatch):
+    def broken(path):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(gmr.io, "read_predictions_csv", broken)
+    with pytest.raises(ZeroDivisionError, match="a bug"):
+        run(["evaluate", "--predictions", str(tmp_path / "p.csv")])
+
+
+def test_benchmark_seed_flag_writes_the_bytes_of_the_spec_seed(tmp_path):
+    spec = {"K": 2, "p": 2, "G": 4, "n": 60, "sigma": 1.0, "delta_beta": 8.0, "n_reps": 2,
+            "restarts": 1, "seed": 13}
+    outputs = []
+    for name, doc, flags in [("flag", spec, ["--seed", "5"]), ("spec", {**spec, "seed": 5}, [])]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}_out.jsonl"
+        assert run(["benchmark", "--spec", str(path), *flags, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0].splitlines()[0])["error"] is None
+
+
+def test_select_k_checks_its_em_flags_before_reading_data(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    args = ["select-k", "--max-iter", "0", "--data", str(missing), "--k-grid", "2",
+            "--out", str(tmp_path / "r.json")]
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: max_iter must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"K": 2,\xff}', "invalid JSON ('utf-8' codec can't decode"),
+    (b"[1, 2]", "expected a JSON object"),
+    (None, "No such file or directory"),
+], ids=["not-utf8", "not-an-object", "missing"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "benchmark"])
+def test_unreadable_config_or_spec_exit_2_naming_the_file(
+    sim_dir, tmp_path, capsys, command, content, message
+):
+    path = tmp_path / "settings.json"
+    if content is not None:
+        path.write_bytes(content)
+    out = str(tmp_path / "out.json")
+    args = {
+        "simulate": ["simulate", "--config", str(path), "--out", out],
+        "fit": ["fit", "--config", str(path), "--data", str(sim_dir / "train.csv"), "--out", out],
+        "benchmark": ["benchmark", "--spec", str(path), "--out", out],
+    }[command]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "benchmark"])
+def test_negative_seed_is_a_usage_error(sim_dir, tmp_path, capsys, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"K": 2, "p": 2, "G": 4, "n": 60, "sigma": 1.0,
+                                "delta_beta": 8.0, "n_reps": 1, "seed": -3}))
+    out = str(tmp_path / "out.json")
+    args = {
+        "simulate": ["simulate", "--n", "100", "--K", "2", "--p", "2", "--G", "5", "--sigma",
+                     "1", "--delta-beta", "5", "--seed", "-1", "--out", out],
+        "fit": ["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "-1",
+                "--out", out],
+        "benchmark": ["benchmark", "--spec", str(spec), "--out", out],
+    }[command]
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+
+
+def test_non_utf8_dataset_exit_1_naming_the_file(sim_dir, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    lines = (sim_dir / "train.csv").read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    data.write_bytes(b"\n".join(lines))
+    out = tmp_path / "m.json"
+    assert run(["fit", "--data", str(data), "--K", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data}: not UTF-8 text (")
+    assert not out.exists()
+
+
+def test_evaluate_truth_label_out_of_range_exit_1_naming_the_file(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1",
+                "--out", str(model)]) == 0
+    doc = json.loads((sim_dir / "truth.json").read_text())
+    doc["labels"][0] = 5
+    truth = tmp_path / "bad_truth.json"
+    truth.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--model", str(model), "--truth", str(truth)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {truth}: labels must be a non-empty list in 0..1, the columns of beta_true\n"
+    )
+
+
+def test_evaluate_header_only_predictions_exit_1_naming_the_file(tmp_path, capsys):
+    preds = tmp_path / "empty_preds.csv"
+    preds.write_text("group,y_true,y_pred,log_density,used_fallback\n")
+    out = tmp_path / "metrics.json"
+    assert run(["evaluate", "--predictions", str(preds), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {preds}: no prediction rows\n"
+    assert not out.exists()

@@ -163,3 +163,18 @@ def test_every_private_name_is_used_outside_its_own_definition():
         if not any(n == name and m in (module, None) and s is not stmt for m, n, s in refs)
     ]
     assert dead == []
+
+
+def test_no_handler_in_src_catches_every_exception():
+    # A programming bug must surface as a traceback, not as an error message.
+    broad = []
+    for path in sorted((SRC / "gmr").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(
+                isinstance(t, ast.Name) and t.id in ("Exception", "BaseException") for t in caught
+            ):
+                broad.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert broad == []

@@ -459,6 +459,17 @@ def test_init_kmeans_zero_feature_group_raises_through_ladder(monkeypatch):
     assert len([a for a in calls if a[0].ndim == 2]) == 6
 
 
+def test_kmeans_fills_the_clusters_that_coinciding_points_leave_empty():
+    # Two distinct points give at most two nearest centers, so a third
+    # non-empty cluster comes only from the fill; k-means++ often runs out of
+    # distinct points before its third center.
+    points = np.array([[0.0, 0.0]] * 6 + [[1.0, 1.0]] * 2)
+    for seed in range(20):
+        labels = em._kmeans(points, 3, np.random.default_rng(seed))
+        assert np.bincount(labels, minlength=3).min() >= 1
+        assert (em._kmeans(points, 3, np.random.default_rng(seed)) == labels).all()
+
+
 def test_kmeans_starts_of_a_fit_share_one_solve_of_the_group_systems(monkeypatch):
     d, _ = generate(SimConfig(n=600, K=3, p=3, G=10, sigma=4.0, delta_beta=6.0, seed=4))
     solves, starts = [], []

@@ -537,3 +537,47 @@ def test_bulk_parse_agrees_with_cell_by_cell_parse_on_mangled_files(tmp_path, mo
             m.setattr(gmr.io, "_bulk_rows", lambda fh, fields: None)
             assert _read_outcome(read, path) == bulk, repr(path.read_text())
     assert sum(parsed) > 150  # the bulk parse took many of the files
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("labels", 5, "labels must be a non-empty list in 0..1, the columns of beta_true"),
+        ("labels", -1, "labels must be a non-empty list in 0..1, the columns of beta_true"),
+        ("labels", [], "labels must be a non-empty list in 0..1, the columns of beta_true"),
+        ("labels", [[0, 1]], "labels must be a non-empty list in 0..1, the columns of beta_true"),
+        ("beta_true", [1.0, 2.0], "labels must be a non-empty list in 0..-1, the columns of beta_true"),
+    ],
+)
+def test_truth_json_labels_outside_its_clusters_raise_format_error(sim, field, value, message):
+    tmp, cfg, _, truth = sim
+    path = tmp / "truth.json"
+    write_truth_json(truth, cfg, path)
+    doc = json.loads(path.read_text())
+    doc[field] = [value] + doc["labels"][1:] if isinstance(value, int) else value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_truth_json(path)
+
+
+def test_files_that_are_not_utf8_raise_format_error_naming_the_file(sim):
+    tmp, cfg, d, truth = sim
+    csv_path, model_path, truth_path = tmp / "d.csv", tmp / "model.json", tmp / "truth.json"
+    write_dataset_csv(d, csv_path)
+    write_model_json(fit(d, EmConfig(K=2, n_restarts=1, seed=1)), model_path)
+    write_truth_json(truth, cfg, truth_path)
+    lines = csv_path.read_bytes().split(b"\n")
+    lines[2] += b"\xff"  # a bad byte in line 3
+    csv_path.write_bytes(b"\n".join(lines))
+    late = tmp / "late.csv"  # the bad byte lies past the first chunk the reader decodes
+    late.write_bytes(b"group,y,x1\n" + b"a,1.0,2.0\n" * 2000 + b"b\xff,1.0,2.0\n")
+    preds = tmp / "preds.csv"
+    preds.write_bytes(b"group,y_true,y_pred,log_density,used_fallback\n\xc3,1,1,0,0\n")
+    for read, path in [(read_dataset_csv, csv_path), (read_dataset_csv, late),
+                       (read_predictions_csv, preds)]:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read(path)
+    for read, path in [(read_model_json, model_path), (read_truth_json, truth_path)]:
+        path.write_bytes(path.read_bytes().replace(b'"', b'"\xfe', 1))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: invalid JSON"):
+            read(path)
