@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import GroupedDataset, _check_integer, _check_real, _check_seed
+from .data import GroupedDataset, _check_integer, _check_real, _check_seed, _from_dict
 from .em import EmConfig, FitResult, fit
 from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
@@ -103,13 +103,7 @@ class BenchmarkSpec:
             init=self.init,
         )
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BenchmarkSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown benchmark spec keys: {sorted(unknown)}")
-        return cls(**doc)
+    from_dict = classmethod(_from_dict)  # the spec from a dict; unknown keys raise ValueError
 
     def cells(self) -> list[dict]:
         """Grid cells in a fixed, documented order (K, p, G, n, sigma, delta_beta)."""

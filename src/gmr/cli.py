@@ -30,6 +30,7 @@ import numpy as np
 
 from . import benchmark as bench
 from . import io
+from .data import _from_dict
 from .em import EmConfig, InitStrategy, fit
 from .errors import GmrError, NonFiniteError
 from .metrics import rmse
@@ -90,12 +91,9 @@ def _config(cls, args: argparse.Namespace, path: str | None):
         conf = {} if path is None else io._read_json(path, dict)
     except (OSError, io.FormatError) as exc:
         raise _UsageError(str(exc)) from None
-    unknown = set(conf) - set(names)
-    if unknown:
-        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     conf.update({name: v for name in names if (v := getattr(args, name, None)) is not None})
     try:
-        return cls(**conf)
+        return _from_dict(cls, conf)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
 
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--split", type=float, help="also write train/test CSVs with this hold-out fraction")
     sim.add_argument("--seed", type=int, help="RNG seed")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.set_defaults(func=cmd_simulate)
 
     fit_p = sub.add_parser("fit", parents=[em_flags], help="fit the mixture to a dataset CSV")
     fit_p.add_argument("--config", help="JSON file with EM settings (flags win)")
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--sigma2-floor", type=float, help="minimum noise variance")
     fit_p.add_argument("--ridge", type=float, help="relative ridge for the beta solve")
     fit_p.add_argument("--out", required=True, help="model JSON path")
-    fit_p.set_defaults(func=cmd_fit)
 
     pred = sub.add_parser("predict", help="predict a dataset CSV with a fitted model")
     pred.add_argument("--model", required=True, help="model JSON from fit")
@@ -339,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="behavior for groups unseen at training time (default: prior weights, flagged)",
     )
     pred.add_argument("--out", required=True, help="predictions CSV path")
-    pred.set_defaults(func=cmd_predict)
 
     ev = sub.add_parser("evaluate", help="compute metrics from fit artifacts and ground truth")
     ev.add_argument("--model", help="model JSON from fit")
@@ -353,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--seed", type=int, help="seed to record in the metrics")
     ev.add_argument("--out", help="metrics JSON path (default: stdout)")
-    ev.set_defaults(func=cmd_evaluate)
 
     sel = sub.add_parser(
         "select-k", parents=[em_flags], help="choose K by repeated hold-out validation"
@@ -363,14 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--reps", type=int, default=10, help="hold-out repetitions (default 10)")
     sel.add_argument("--test-frac", type=float, default=0.2, help="per-group hold-out fraction")
     sel.add_argument("--out", required=True, help="report JSON path, not *.csv (CSV table beside it)")
-    sel.set_defaults(func=cmd_select_k, K=1)  # the template K; select_k sets each candidate's
+    sel.set_defaults(K=1)  # the template K; select_k sets each candidate's
 
     ben = sub.add_parser("benchmark", help="run a Monte Carlo grid sweep")
     ben.add_argument("--spec", required=True, help="benchmark spec JSON")
     ben.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)")
     ben.add_argument("--seed", type=int, help="override the spec's seed")
     ben.add_argument("--out", required=True, help="JSON-lines path, not *.csv (aggregate CSV beside it)")
-    ben.set_defaults(func=cmd_benchmark)
 
     return parser
 
@@ -385,8 +378,9 @@ def main(argv=None) -> int:
     _configure_logging()
     libc = _c_allocator()
     args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call, not cached
     try:
-        return args.func(args)
+        return command(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ to share across threads and between operations without copying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -77,6 +77,14 @@ def _check_seed(cfg) -> None:
     _check_fields(cfg, _check_integer, ("seed",), optional=("seed",))
     if cfg.seed is not None and cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
+
+
+def _from_dict(cls, doc: dict):
+    """``cls(**doc)`` for a settings class; keys that are not its fields raise ValueError."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return cls(**doc)
 
 
 def _check_fields(cfg, rule, names, optional=()) -> None:

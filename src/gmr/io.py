@@ -121,7 +121,7 @@ def _read_rows(path: Path, header_ok, expected: str, flagged: bool = False):
 
     The header must satisfy ``header_ok``; m is its width less the id and flag
     columns.  The bulk parse takes flags written exactly ``0`` or ``1``.  A
-    file that is not UTF-8 text raises `FormatError`.
+    file that is not UTF-8 text, or that `csv` cannot read, raises `FormatError`.
     """
     try:
         with path.open(newline="") as fh:
@@ -152,6 +152,8 @@ def _read_rows(path: Path, header_ok, expected: str, flagged: bool = False):
         return np.array(ids, dtype=object), np.array(values).reshape(-1, m), flags
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:  # a field over `csv.field_size_limit`, say
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _grouped(ids: np.ndarray, values: np.ndarray) -> GroupedDataset:
@@ -256,7 +258,7 @@ def _read_json(path, build):
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+    except (RecursionError, ValueError) as exc:  # also deep nesting or a UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")

@@ -756,6 +756,16 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     assert build_parser() is not build_parser()
 
 
+def test_main_looks_up_each_command_when_it_runs(tmp_path, monkeypatch):
+    # The cached parser must not pin the commands: a wrapped cmd_* (a tracer's, say) runs.
+    args = ["evaluate", "--truth", str(tmp_path / "t.json")]
+    assert run(args) == 2
+    ran = []
+    monkeypatch.setattr(gmr.cli, "cmd_evaluate", lambda parsed: ran.append(parsed.truth) or 0)
+    assert run(args) == 0
+    assert ran == [args[-1]]
+
+
 def test_a_bug_in_a_command_propagates_out_of_main(tmp_path, monkeypatch):
     def broken(path):
         raise ZeroDivisionError("a bug")
@@ -792,7 +802,8 @@ def test_select_k_checks_its_em_flags_before_reading_data(tmp_path, capsys):
     (b'{"K": 2,\xff}', "invalid JSON ('utf-8' codec can't decode"),
     (b"[1, 2]", "expected a JSON object"),
     (None, "No such file or directory"),
-], ids=["not-utf8", "not-an-object", "missing"])
+    (b"[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+], ids=["not-utf8", "not-an-object", "missing", "too-deep"])
 @pytest.mark.parametrize("command", ["simulate", "fit", "benchmark"])
 def test_unreadable_config_or_spec_exit_2_naming_the_file(
     sim_dir, tmp_path, capsys, command, content, message

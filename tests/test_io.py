@@ -581,3 +581,19 @@ def test_files_that_are_not_utf8_raise_format_error_naming_the_file(sim):
         path.write_bytes(path.read_bytes().replace(b'"', b'"\xfe', 1))
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: invalid JSON"):
             read(path)
+
+
+def test_files_csv_or_json_cannot_parse_raise_format_error_naming_the_file(sim):
+    tmp, cfg, d, truth = sim
+    wide = "x" * (1 << 18)  # past csv's default field size limit of 128 KiB
+    head, row = tmp / "head.csv", tmp / "row.csv"
+    head.write_text(f"group,y,x1{wide}\na,1.0,2.0\n")
+    row.write_text(f"group,y,x1\na,1.0,2.0\nb,1.0,{wide}\n")  # the bulk parse gives up
+    for path in (head, row):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: field larger than"):
+            read_dataset_csv(path)
+    deep = tmp / "deep.json"
+    deep.write_text("[" * 100_000)
+    for read in (read_model_json, read_truth_json):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(deep))}: invalid JSON"):
+            read(deep)
