@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     _configure_logging()
     libc = _c_allocator()
     args = _parser().parse_args(argv)
-    command = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call, not cached
+    command = globals()["cmd_" + args.command.replace("-", "_")]  # per call, so a wrapped cmd_* runs
     try:
         return command(args)
     except _UsageError as exc:
