@@ -166,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         try:
             test_rows = _test_rows(data, args.split, seed=cfg.seed)
         except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+            raise _UsageError(f"--split: {exc}") from None
         outputs += [(out / "train.csv", ~test_rows), (out / "test.csv", test_rows)]
     out.mkdir(parents=True, exist_ok=True)
     io._write_dataset_csvs(data, outputs)

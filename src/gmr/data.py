@@ -63,13 +63,15 @@ def _check_integer(name: str, value) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a real number.
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real number.
 
     Python and numpy integers and floats pass; ``bool``, ``str`` and ``None``
-    do not.
+    do not, and neither do NaN and infinities.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number")
+    if not -np.inf < value < np.inf:  # also false for NaN; exact for integers of any size
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_seed(cfg) -> None:
@@ -308,7 +310,9 @@ class ModelParams:
     pi : array_like, shape (K,)
         Mixture weights; nonnegative, summing to 1 within 1e-12.
     beta : array_like, shape (p, K)
-        Column k holds the regression coefficients of cluster k.
+        Column k holds the regression coefficients of cluster k.  Kept in
+        Fortran order, so a model predicts the same bits whatever the layout
+        it was built from (BLAS rounds a product by its operands' layout).
     sigma2 : array_like, shape (K,)
         Per-cluster noise variances, strictly positive.
     """
@@ -319,7 +323,7 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "pi", _readonly(self.pi))
-        object.__setattr__(self, "beta", _readonly(self.beta))
+        object.__setattr__(self, "beta", _readonly(np.asfortranarray(self.beta)))
         object.__setattr__(self, "sigma2", _readonly(self.sigma2))
         if self.pi.ndim != 1 or self.sigma2.ndim != 1 or self.beta.ndim != 2:
             raise DimensionMismatchError("pi and sigma2 must be vectors, beta a p x K matrix")

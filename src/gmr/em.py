@@ -28,10 +28,11 @@ the sigma2 update and the E-step, and one log-sum-exp over the cluster axis.
 A restart leaves the active set when it converges, reaches ``max_iter``,
 empties a cluster or keeps a singular system through `_solve_spd`'s ridge
 ladder; the others go on without it and compute exactly what they would
-compute alone.  Nothing is validated inside the loop: `fit` checks the winner
-once, when it builds the `FitResult`.  The public `m_step_pi`, `m_step_beta`,
-`m_step_sigma2`, `log_joint` and `e_step` are the one-restart case of the same
-private kernels, so each formula lives in one place.
+compute alone.  Nothing is validated inside the loop: each restart's final
+state is validated once, as the `FitResult` it ends as, when it leaves the
+stack.  The public `m_step_pi`, `m_step_beta`, `m_step_sigma2`, `log_joint`
+and `e_step` are the one-restart case of the same private kernels, so each
+formula lives in one place.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class EmConfig:
         Master seed, 0 or more; per-restart seeds derive from it deterministically.
 
     Counts must be integers and ``epsilon``, ``ridge`` and ``sigma2_floor``
-    numbers (``bool`` is neither); a violation raises ``ValueError`` naming
-    the field.
+    finite numbers (``bool`` is neither); a violation raises ``ValueError``
+    naming the field.
     """
 
     K: int
@@ -174,7 +175,7 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of `fit`: the winning restart.
+    """Final state of one EM restart; `fit` returns the winning one.
 
     ``ll_trace`` holds the observed-data log-likelihood after each iteration's
     M-step and is non-decreasing within a slack of ``1e-8 * (1 + |ll|)`` per
@@ -546,31 +547,6 @@ def init_responsibilities(
     raise ValueError(f"unknown init strategy {strategy!r}")
 
 
-@dataclass(frozen=True)
-class _Restart:
-    """Final state of one restart, not yet validated (see `_fit_result`).
-
-    ``beta`` is (p, K), ``tau`` is (R, K) and ``ll_trace`` holds the
-    log-likelihood after each iteration.
-    """
-
-    pi: np.ndarray
-    beta: np.ndarray
-    sigma2: np.ndarray
-    tau: np.ndarray
-    ll_trace: np.ndarray
-    converged: bool
-
-    @property
-    def log_likelihood(self) -> float:
-        return float(self.ll_trace[-1])
-
-    @property
-    def min_cluster_groups(self) -> float:
-        """Groups' worth of responsibility in the lightest cluster, ``min_k sum_r tau_rk``."""
-        return float(self.tau.sum(axis=0).min())
-
-
 def _abandon(outcomes: list, lost: dict, live: np.ndarray, *stacks: np.ndarray) -> tuple:
     """Record each lost restart's error and drop it from ``live`` and from every stack."""
     keep = np.ones(live.size, dtype=bool)
@@ -582,17 +558,19 @@ def _abandon(outcomes: list, lost: dict, live: np.ndarray, *stacks: np.ndarray) 
 
 def _run_restarts(
     d: GroupedDataset, cfg: EmConfig, strategy: InitStrategy, floor: float, seeds
-) -> list[_Restart | GmrError]:
+) -> list[FitResult | GmrError]:
     """Run one EM restart per seed, all in lockstep; returns their outcomes in seed order.
 
     A restart that converges or reaches ``cfg.max_iter`` ends as a
-    `_Restart`; one that empties a cluster or keeps a singular system
-    through the ridge ladder of `_solve_spd` ends as that error.  Either way
-    it leaves the active set.  Every product, factorization and reduction
-    acts on one restart's slice of the stack, so a restart computes exactly
-    what it would alone: the call with one seed is the one-restart fit.
-    Every restart starts through `init_responsibilities`; k-means starts
-    solve the group coefficients once, kept on the dataset (`_group_coefs`).
+    `FitResult`, its final state validated once as `ModelParams` and
+    `Responsibilities` when it leaves the stack; one that empties a cluster
+    or keeps a singular system through the ridge ladder of `_solve_spd` ends
+    as that error.  Either way it leaves the active set.  Every product,
+    factorization and reduction acts on one restart's slice of the stack, so
+    a restart computes exactly what it would alone: the call with one seed
+    is the one-restart fit.  Every restart starts through
+    `init_responsibilities`; k-means starts solve the group coefficients
+    once, kept on the dataset (`_group_coefs`).
     """
     outcomes: list = [None] * len(seeds)
     taus = []
@@ -631,13 +609,15 @@ def _run_restarts(
         converged = delta < cfg.epsilon
         done = converged | (t == cfg.max_iter)
         for s in np.flatnonzero(done):
-            outcomes[live[s]] = _Restart(
-                pi=pi[s],
-                beta=coefs[s].T,
-                sigma2=sigma2[s],
-                tau=posterior[s].T,
-                ll_trace=_readonly(traces[live[s]]),
+            trace = _readonly(traces[live[s]])
+            outcomes[live[s]] = FitResult(
+                params=ModelParams(pi=pi[s], beta=coefs[s].T, sigma2=sigma2[s]),
+                tau=Responsibilities(posterior[s].T),
+                group_ids=d.group_ids,
+                log_likelihood=float(trace[-1]),
+                n_iter=trace.size,
                 converged=bool(converged[s]),
+                ll_trace=trace,
             )
         live, tau = live[~done], posterior[~done]
         if not live.size:
@@ -648,25 +628,21 @@ def _run_restarts(
 def _variance_floor(d: GroupedDataset, cfg: EmConfig) -> float:
     """The sigma2 floor of a fit: ``cfg.sigma2_floor``, else ``1e-8 * var(y)`` over all rows.
 
-    A constant response would zero the relative floor, so it then is 1e-8.
+    A constant response would zero the relative floor, so it then is 1e-8.  A
+    given floor above var(y) is kept, with a warning: it likely holds every
+    cluster's variance, so the fit barely moves from its start.
     """
-    if cfg.sigma2_floor is not None:
-        return cfg.sigma2_floor
     var_y = float(np.var(d.responses))
+    if cfg.sigma2_floor is not None:
+        if cfg.sigma2_floor > var_y:
+            logger.warning("sigma2_floor=%g exceeds the responses' variance %g", cfg.sigma2_floor, var_y)
+        return cfg.sigma2_floor
     return VAR_FLOOR_REL * var_y if var_y > 0 else VAR_FLOOR_REL
 
 
-def _fit_result(d: GroupedDataset, restart: _Restart) -> FitResult:
-    """The public, validated form of one restart's final state."""
-    return FitResult(
-        params=ModelParams(pi=restart.pi, beta=restart.beta, sigma2=restart.sigma2),
-        tau=Responsibilities(restart.tau),
-        group_ids=d.group_ids,
-        log_likelihood=restart.log_likelihood,
-        n_iter=restart.ll_trace.size,
-        converged=restart.converged,
-        ll_trace=restart.ll_trace,
-    )
+def _min_cluster_groups(result: FitResult) -> float:
+    """Groups' worth of responsibility in the lightest cluster, ``min_k sum_r tau_rk``."""
+    return float(result.tau.tau.sum(axis=0).min())
 
 
 def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
@@ -694,9 +670,10 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
     cluster absorbing the rest) beat the generating partition on likelihood
     while they cluster and predict worse.
 
-    Nothing is validated inside the iterations; the winner's parameters and
-    responsibilities are checked once, as `ModelParams` and
-    `Responsibilities`, when the result is built.
+    Nothing is validated inside the iterations; each restart's parameters
+    and responsibilities are checked once, as `ModelParams` and
+    `Responsibilities`, when it leaves the stack, and the winner is returned
+    as it left.
 
     Raises
     ------
@@ -718,10 +695,10 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
     floor = _variance_floor(d, cfg)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_restarts)
-    results: list[_Restart] = []
+    results: list[FitResult] = []
     failures: list[tuple[int, str]] = []
     for i, outcome in enumerate(_run_restarts(d, cfg, strategy, floor, seeds)):
-        if not isinstance(outcome, _Restart):
+        if isinstance(outcome, GmrError):
             logger.debug("restart %d abandoned: %s", i, outcome)
             failures.append((i, f"{type(outcome).__name__}: {outcome}"))
             continue
@@ -729,20 +706,20 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
             "restart %d: ll=%.6f iters=%d converged=%s min_cluster_groups=%.2f",
             i,
             outcome.log_likelihood,
-            outcome.ll_trace.size,
+            outcome.n_iter,
             outcome.converged,
-            outcome.min_cluster_groups,
+            _min_cluster_groups(outcome),
         )
         results.append(outcome)
     if not results:
         raise AllRestartsFailedError(failures)
     if failures:
         logger.info("%d of %d restarts abandoned", len(failures), cfg.n_restarts)
-    sound = [r for r in results if r.min_cluster_groups >= MIN_CLUSTER_GROUPS]
+    sound = [r for r in results if _min_cluster_groups(r) >= MIN_CLUSTER_GROUPS]
     best = max(sound or results, key=lambda r: r.log_likelihood)
     top_ll = max(r.log_likelihood for r in results)
     if best.log_likelihood < top_ll:
         logger.debug(
             "passed over a spurious maximizer (ll=%.6f) for ll=%.6f", top_ll, best.log_likelihood
         )
-    return _fit_result(d, best)
+    return best

@@ -91,7 +91,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What the generator knows: coefficients, labels, noise and design scale."""
+    """What the generator knows: coefficients, labels, noise and design scale.
+
+    Float ``labels`` raise ValueError rather than be truncated to integers.
+    """
 
     beta_true: NDArray[np.float64]  # (p, K), column k = cluster k
     labels: NDArray[np.int64]  # (R,), true cluster of each group
@@ -99,6 +102,9 @@ class GroundTruth:
     Sigma_x: NDArray[np.float64]  # (p, p) design covariance
 
     def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind == "f":  # an empty list reads as floats
+            raise ValueError("labels must be integers, got float values")
         for name, dtype in (
             ("beta_true", float),
             ("labels", np.int64),
@@ -207,16 +213,13 @@ def generate(cfg: SimConfig) -> tuple[GroupedDataset, GroundTruth]:
     beta = simplex_betas(cfg.K, cfg.p, cfg.delta_beta, s_beta)
     chol = np.linalg.cholesky(sigma_x)
 
-    # Observations split as evenly as possible across clusters (exact when
-    # K divides n, which covers the benchmark grids), then across groups.
-    cluster_counts = np.full(cfg.K, cfg.n // cfg.K, dtype=np.int64)
-    cluster_counts[: cfg.n % cfg.K] += 1
-
     rng = np.random.default_rng(s_obs)
     groups: list[Group] = []
     labels: list[int] = []
-    for k in range(cfg.K):
-        for size in partition_groups(int(cluster_counts[k]), cfg.G):
+    # Observations split as evenly as possible across clusters (exact when
+    # K divides n, which covers the benchmark grids), then across groups.
+    for k, count in enumerate(partition_groups(cfg.n, cfg.K)):
+        for size in partition_groups(int(count), cfg.G):
             x = rng.standard_normal((size, cfg.p)) @ chol.T
             eps = cfg.sigma * rng.standard_normal(size)
             y = x @ beta[:, k] + eps

@@ -866,6 +866,21 @@ def test_evaluate_truth_label_out_of_range_exit_1_naming_the_file(sim_dir, tmp_p
     )
 
 
+def test_evaluate_truth_with_fractional_labels_exit_1_naming_the_file(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1",
+                "--out", str(model)]) == 0
+    doc = json.loads((sim_dir / "truth.json").read_text())
+    doc["labels"] = [0.9, 1.9] * (len(doc["labels"]) // 2)
+    truth = tmp_path / "bad_truth.json"
+    truth.write_text(json.dumps(doc))
+    out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    assert run(["evaluate", "--model", str(model), "--truth", str(truth), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {truth}: labels must be integers, got float values\n")
+    assert not out.exists()
+
+
 def test_evaluate_header_only_predictions_exit_1_naming_the_file(tmp_path, capsys):
     preds = tmp_path / "empty_preds.csv"
     preds.write_text("group,y_true,y_pred,log_density,used_fallback\n")

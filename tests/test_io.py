@@ -539,6 +539,17 @@ def test_bulk_parse_agrees_with_cell_by_cell_parse_on_mangled_files(tmp_path, mo
     assert sum(parsed) > 150  # the bulk parse took many of the files
 
 
+def test_truth_json_fractional_labels_raise_format_error_naming_the_file(sim):
+    tmp, cfg, _, truth = sim
+    path = tmp / "truth.json"
+    write_truth_json(truth, cfg, path)
+    doc = json.loads(path.read_text())
+    doc["labels"] = [label + 0.9 for label in doc["labels"]]  # not truncated back to the truth
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: labels must be integers')}"):
+        read_truth_json(path)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,21 @@ def test_fit_and_its_model_json_predict_the_same_bits(tmp_path):
         from_json = predict_groups(read_model_json(path), test)
         assert np.array_equal(in_memory.y_pred, from_json.y_pred)
         assert np.array_equal(in_memory.log_density, from_json.log_density)
+
+
+def test_a_model_predicts_the_same_bits_from_either_layout_of_beta():
+    # BLAS rounds a product by its operands' layout, so ModelParams keeps
+    # one layout of beta whatever it was built from.
+    for seed in range(20):
+        d, _ = generate(SimConfig(n=200, K=4, p=4, G=10, sigma=6.0, delta_beta=8.0, seed=seed))
+        train, test = train_test_split(d, 0.2, seed)
+        res = fit(train, EmConfig(K=4, seed=seed))
+        pi, beta, sigma2 = res.params.pi, res.params.beta, res.params.sigma2
+        c_ordered = replace(res, params=ModelParams(pi, np.ascontiguousarray(beta), sigma2))
+        assert (c_ordered.params.beta == beta).all()
+        fitted, rebuilt = predict_groups(res, test), predict_groups(c_ordered, test)
+        assert np.array_equal(fitted.y_pred, rebuilt.y_pred)
+        assert np.array_equal(fitted.log_density, rebuilt.log_density)
 
 
 def test_predict_groups_memory_is_bounded_by_the_block():
