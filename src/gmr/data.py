@@ -19,6 +19,7 @@ to share across threads and between operations without copying.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -66,11 +67,12 @@ def _check_real(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a finite real number.
 
     Python and numpy integers and floats pass; ``bool``, ``str`` and ``None``
-    do not, and neither do NaN and infinities.
+    do not, and neither do NaN, infinities and integers beyond the float range.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number")
-    if not -np.inf < value < np.inf:  # also false for NaN; exact for integers of any size
+    number = value.item() if isinstance(value, np.generic) else value  # a Python int or float
+    if not abs(number) <= sys.float_info.max:  # false for NaN; exact for integers of any size
         raise ValueError(f"{name} must be finite, got {value}")
 
 

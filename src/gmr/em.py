@@ -635,7 +635,9 @@ def _variance_floor(d: GroupedDataset, cfg: EmConfig) -> float:
     var_y = float(np.var(d.responses))
     if cfg.sigma2_floor is not None:
         if cfg.sigma2_floor > var_y:
-            logger.warning("sigma2_floor=%g exceeds the responses' variance %g", cfg.sigma2_floor, var_y)
+            logger.warning(
+                "sigma2_floor=%g exceeds the responses' variance %g", cfg.sigma2_floor, var_y
+            )
         return cfg.sigma2_floor
     return VAR_FLOOR_REL * var_y if var_y > 0 else VAR_FLOOR_REL
 

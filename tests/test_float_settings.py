@@ -100,8 +100,10 @@ def test_settings_refuse_non_finite_floats(cls, base, field, value):
         cls(**{**base, field: value})
 
 
-def test_integer_settings_of_any_size_are_finite():
-    assert EmConfig(K=2, ridge=10**400).ridge == 10**400
+def test_integer_settings_beyond_the_float_range_are_refused():
+    assert EmConfig(K=2, ridge=10**308).ridge == 10**308
+    with pytest.raises(ValueError, match="^ridge must be finite, got 1000"):
+        EmConfig(K=2, ridge=10**309)  # a JSON integer literal can be this large
 
 
 def test_a_variance_floor_above_the_responses_variance_warns(caplog):
