@@ -145,6 +145,8 @@ def _parse_k_grid(text: str) -> list[int]:
                 raise _UsageError(f"bad K value {token!r}") from None
     if not grid:
         raise _UsageError("empty K grid")
+    if min(grid) < 1:
+        raise _UsageError(f"--k-grid: K values must be at least 1, got {min(grid)}")
     return grid
 
 
@@ -243,16 +245,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_select_k(args: argparse.Namespace) -> int:
     out, csv_path = _report_paths(args.out, args.data)
     template = _config(EmConfig, args, None)
+    grid = _parse_k_grid(args.k_grid)  # every setting is checked before the data are read
+    if args.reps < 1:
+        raise _UsageError(f"--reps: n_reps must be at least 1, got {args.reps}")
+    if not 0.0 < args.test_frac < 1.0:
+        raise _UsageError(f"--test-frac must lie strictly between 0 and 1, got {args.test_frac}")
     data = io.read_dataset_csv(args.data)
-    grid = _parse_k_grid(args.k_grid)
-    try:
-        report = select_k(
-            data, grid, cfg=template, test_frac=args.test_frac, n_reps=args.reps, seed=args.seed
-        )
-    except GmrError:
-        raise  # data and runtime errors exit 1, even those that are ValueErrors
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    report = select_k(
+        data, grid, cfg=template, test_frac=args.test_frac, n_reps=args.reps, seed=args.seed
+    )
     io.write_selection_report(report, out, csv_path)
     print(f"best_k={report.best_k} best_mixture_k={report.best_mixture_k} n_reps={report.n_reps}")
     return 0

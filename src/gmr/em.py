@@ -25,6 +25,15 @@ axis wherever they say (..., K, R).  Each iteration makes one pooled
 (S*K, p, p) system build, one batched Cholesky factorization in `_solve_spd`,
 the one solver of every normal-equation stack, one residual product shared by
 the sigma2 update and the E-step, and one log-sum-exp over the cluster axis.
+What the steps read off the dataset is computed once per fit (`_constants`):
+the group sizes as floats, the flat moments, and the group factors in a
+group-contiguous residual layout, (p+1, (p+1)*R) with row i of every group's
+factor in one run of R columns.  Each cluster's residual product then is p+1
+contiguous rows of length R, and its squared norm sums over that axis of
+length p+1 rather than over a last axis p+1 wide, which numpy reduces element
+by element (`_mean_sq_residuals`).  The kernel writes that product into one
+buffer per fit, and each (S, K, R) temporary is overwritten in place or
+released before the next one is made, so an iteration holds few of them.
 A restart leaves the active set when it converges, reaches ``max_iter``,
 empties a cluster or keeps a singular system through `_solve_spd`'s ridge
 ladder; the others go on without it and compute exactly what they would
@@ -39,7 +48,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Literal, get_args
+from functools import cache
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 from numpy.typing import NDArray
@@ -193,54 +203,86 @@ class FitResult:
     ll_trace: NDArray[np.float64] | None
 
 
-def _mean_sq_residuals(factors: np.ndarray, coefs: np.ndarray) -> NDArray[np.float64]:
+class _Constants(NamedTuple):
+    """What every EM step reads off a dataset, computed once per fit by `_constants`."""
+
+    n_r: np.ndarray  # (R,) group sizes as floats
+    n_total: float
+    sigma_hat: np.ndarray  # (R, p * p), the moments of `GroupedDataset.sigma_hat` flattened
+    rho_hat: np.ndarray  # (R, p)
+    layout: np.ndarray  # (p + 1, (p + 1) * R), see `_mean_sq_residuals`
+
+
+def _constants(d: GroupedDataset) -> _Constants:
+    """The per-fit constants of ``d``.
+
+    The residual layout holds the group factors as one (p+1, (p+1)*R) matrix
+    with entry ``[j, i*R + r] = factors[r, i, j]``.
+    """
+    n_r = d.n_r.astype(float)
+    layout = np.ascontiguousarray(d.factors.T.reshape(d.p + 1, -1))
+    return _Constants(n_r, float(n_r.sum()), d.sigma_hat.reshape(d.R, -1), d.rho_hat, layout)
+
+
+def _mean_sq_residuals(layout: np.ndarray, coefs: np.ndarray, out=None) -> NDArray[np.float64]:
     """Per-group mean squared residual under each cluster's coefficients, (..., K, R).
 
-    ``coefs`` is (..., K, p).  ``E_kr = ||T_r [coefs_k; -1]||^2`` with T_r the
-    triangular factor of group r's scaled rows ``[X_r | y_r] / sqrt(n_r)``; one
-    (K, p+1) x (p+1, R*(p+1)) product per restart serves all its groups and
-    clusters.  A stack gets one such product per restart, not one product of
-    all S*K rows: BLAS picks its kernel, and so its rounding, by matrix size,
-    and a restart's result must not depend on how many others share its stack.
+    ``coefs`` is (..., K, p) and ``layout`` the (p+1, (p+1)*R) residual layout
+    of the group factors (see `_constants`).  ``E_kr = ||T_r [coefs_k; -1]||^2``
+    with T_r the triangular factor of group r's scaled rows ``[X_r | y_r] / sqrt(n_r)``.
+    One (K, p+1) x (p+1, (p+1)*R) product per restart serves all its groups and
+    clusters; row i of T_r lands in columns ``i*R .. i*R + R - 1``, so each
+    cluster's product is p+1 contiguous rows of length R and the squared norm
+    sums over that non-last axis of length p+1: numpy reduces a short last axis
+    element by element, several times slower.  A stack gets one such product
+    per restart, not one product of all S*K rows: BLAS picks its kernel, and so
+    its rounding, by matrix size, and a restart's result must not depend on how
+    many others share its stack.  ``out`` (..., K, (p+1)*R) takes the product.
     """
-    R, q, _ = factors.shape
+    q, qR = layout.shape
     augmented = np.empty((*coefs.shape[:-2], q, coefs.shape[-2]))  # (..., p + 1, K)
     augmented[..., :-1, :] = np.swapaxes(coefs, -1, -2)
     augmented[..., -1, :] = -1.0
-    v = np.swapaxes(augmented, -1, -2) @ factors.reshape(R * q, q).T
-    v = v.reshape(*v.shape[:-1], R, q)
-    return np.einsum("...rq,...rq->...r", v, v)
+    v = np.matmul(np.swapaxes(augmented, -1, -2), layout, out=out)
+    v = v.reshape(*v.shape[:-1], q, qR // q)
+    return np.einsum("...qr,...qr->...r", v, v)
 
 
 def _log_sum_exp(
-    scores: np.ndarray, axis: int = -1
+    scores: np.ndarray, axis: int = -1, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-sum-exp over ``axis``, with the exponentials and their sums it was built from.
 
     Each slice is shifted by its maximum before exponentiating, so nothing
     overflows and the largest term is exactly 1.  Entries of ``-inf`` give
     exponentials of 0; every slice needs at least one finite entry.  The sums
-    keep ``axis`` as a dimension of length 1.
+    keep ``axis`` as a dimension of length 1.  The exponentials are written to
+    ``out``, which may be ``scores`` itself.
     """
-    top = np.max(scores, axis=axis, keepdims=True)
-    e = np.exp(scores - top)
+    top = scores.max(axis=axis, keepdims=True)
+    e = np.exp(np.subtract(scores, top, out=out), out=out)
     total = e.sum(axis=axis, keepdims=True)
     return np.squeeze(top + np.log(total), axis), e, total
 
 
 def _log_normalize(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Log-sum-exp over ``axis``, and the scores normalized to weights (see `_log_sum_exp`)."""
-    lse, e, total = _log_sum_exp(scores, axis)
-    return lse, e / total
+    """Log-sum-exp over ``axis``, and ``scores`` normalized in place (see `_log_sum_exp`)."""
+    lse, e, total = _log_sum_exp(scores, axis, out=scores)
+    return lse, np.divide(e, total, out=e)
 
 
 def _log_joint(n_r: np.ndarray, pi: np.ndarray, sigma2: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Cluster-major log joint (..., K, R) from pi and sigma2 (..., K) and E (..., K, R)."""
-    n_r = n_r.astype(float)
+    """Cluster-major log joint (..., K, R) from pi and sigma2 (..., K) and E (..., K, R).
+
+    ``n_r`` holds the group sizes as floats.  The log joint overwrites E.
+    """
     with np.errstate(divide="ignore"):  # pi_k == 0 legitimately maps to -inf
         log_pi = np.log(pi)
-    norm_const = -0.5 * np.log(2.0 * np.pi * sigma2)
-    return log_pi[..., None] + n_r * norm_const[..., None] - n_r * E / (2.0 * sigma2[..., None])
+    E *= n_r
+    E /= 2.0 * sigma2[..., None]
+    lj = n_r * (-0.5 * np.log(2.0 * np.pi * sigma2))[..., None]  # the normalizing constants
+    lj += log_pi[..., None]
+    return np.subtract(lj, E, out=E)
 
 
 def log_joint(stats: GroupedDataset, params: ModelParams) -> NDArray[np.float64]:
@@ -267,8 +309,9 @@ def log_joint(stats: GroupedDataset, params: ModelParams) -> NDArray[np.float64]
         raise DimensionMismatchError(
             f"stats have p={stats.p} but params have p={params.p}"
         )
-    E = _mean_sq_residuals(stats.factors, params.beta.T)
-    return _log_joint(stats.n_r, params.pi, params.sigma2, E).T
+    c = _constants(stats)
+    E = _mean_sq_residuals(c.layout, params.beta.T)
+    return _log_joint(c.n_r, params.pi, params.sigma2, E).T
 
 
 def e_step(log_joint_matrix: NDArray[np.float64]) -> Responsibilities:
@@ -278,7 +321,7 @@ def e_step(log_joint_matrix: NDArray[np.float64]) -> Responsibilities:
     Entries of ``-inf`` (impossible clusters) are handled exactly; rows must
     contain at least one finite entry.
     """
-    return Responsibilities(_log_normalize(np.asarray(log_joint_matrix, dtype=float))[1])
+    return Responsibilities(_log_normalize(np.array(log_joint_matrix, dtype=float))[1])
 
 
 def log_marginal_likelihood(log_joint_matrix: NDArray[np.float64]) -> float:
@@ -287,13 +330,19 @@ def log_marginal_likelihood(log_joint_matrix: NDArray[np.float64]) -> float:
 
 
 def _m_step_pi(tau: np.ndarray) -> np.ndarray:
-    """Mixture weights (..., K) of cluster-major responsibilities (..., K, R)."""
-    return tau.mean(axis=-1)
+    """Mixture weights (..., K) of cluster-major responsibilities (..., K, R): their means."""
+    return tau.sum(axis=-1) / tau.shape[-1]
 
 
 def m_step_pi(tau: Responsibilities) -> NDArray[np.float64]:
     """Update mixture weights: column means of the responsibility matrix."""
     return _m_step_pi(tau.tau.T)
+
+
+@cache
+def _identity(p: int) -> np.ndarray:
+    """The read-only p x p identity, made once per p."""
+    return _readonly(np.eye(p))
 
 
 def _ridged_solve(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
@@ -305,7 +354,7 @@ def _ridged_solve(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
     """
     p = b.shape[-1]
     scale = np.trace(A, axis1=-2, axis2=-1) / p
-    L = np.linalg.cholesky(A + (rel_ridge * scale)[..., None, None] * np.eye(p))
+    L = np.linalg.cholesky(A + (rel_ridge * scale)[..., None, None] * _identity(p))
     half = np.linalg.solve(L, b[..., None])
     return np.linalg.solve(np.swapaxes(L, -1, -2), half)[..., 0]
 
@@ -318,16 +367,17 @@ def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> tuple[np.ndarr
     own, down to single systems, so only a system that does not factor climbs
     the ridge ladder: its relative ridge escalates by factors of 10 up to
     ``RIDGE_MAX_REL`` (``rel_ridge=0`` enters the ladder at 1e-10).  Returns x
-    and a boolean mask (...) of the systems solved; an unsolved system, one
-    still singular at the top of the ladder, gets x = 0.
+    and a boolean mask (...) of the systems solved, or ``np.True_`` when the
+    batched call solved them all; an unsolved system, one still singular at
+    the top of the ladder, gets x = 0.
     """
     try:
-        return _ridged_solve(A, b, rel_ridge), np.ones(b.shape[:-1], dtype=bool)
+        return _ridged_solve(A, b, rel_ridge), np.True_
     except np.linalg.LinAlgError:
         pass
     if b.ndim > 1:
         x, solved = zip(*(_solve_spd(A[i], b[i], rel_ridge) for i in range(b.shape[0])))
-        return np.array(x), np.array(solved)
+        return np.array(x), np.array([np.broadcast_to(s, b.shape[1:-1]) for s in solved])
     lam = rel_ridge
     while True:
         lam = 1e-10 if lam == 0 else lam * 10.0
@@ -345,9 +395,9 @@ def _cluster_weights(n_r: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.n
     ``w_rk = n_r tau_rk`` for cluster-major ``tau``; each cluster's row is
     divided by its sum ``w_plus``, and a row with no weight stays zero.
     """
-    w = n_r.astype(float) * tau
+    w = n_r * tau
     w_plus = w.sum(axis=-1)
-    return w / np.where(w_plus > 0, w_plus, 1.0)[..., None], w_plus
+    return np.divide(w, np.where(w_plus > 0, w_plus, 1.0)[..., None], out=w), w_plus
 
 
 def _empty_clusters(w_plus: np.ndarray, n_total: float) -> dict[int, EmptyClusterError]:
@@ -356,8 +406,10 @@ def _empty_clusters(w_plus: np.ndarray, n_total: float) -> dict[int, EmptyCluste
     A cluster is lost when its weight falls below ``1e-12 * n_total``; the
     error names the restart's lightest cluster.  Keys are stack positions.
     """
-    lost = {}
-    for s in np.flatnonzero((w_plus < EMPTY_CLUSTER_REL_TOL * n_total).any(axis=-1)):
+    low, lost = w_plus < EMPTY_CLUSTER_REL_TOL * n_total, {}
+    if not low.any():  # the usual case, one test for the whole stack
+        return lost
+    for s in np.flatnonzero(low.any(axis=-1)):
         k = int(np.argmin(w_plus[s]))
         lost[int(s)] = EmptyClusterError(
             f"cluster {k} holds weight {w_plus[s, k]:.3e} of {n_total:.0f} observations"
@@ -365,12 +417,14 @@ def _empty_clusters(w_plus: np.ndarray, n_total: float) -> dict[int, EmptyCluste
     return lost
 
 
-def _pooled_systems(d: GroupedDataset, w_check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pooled_systems(d, w_check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normal-equation matrices (..., K, p, p) and right-hand sides (..., K, p).
 
     ``w_check`` holds the normalized weights (..., K, R) of `_cluster_weights`.
+    The moments come from a `GroupedDataset` or from a fit's `_Constants`,
+    which hold them flat already.
     """
-    R, p = d.R, d.p
+    R, p = d.rho_hat.shape
     pooled_sigma = w_check @ d.sigma_hat.reshape(R, p * p)
     return pooled_sigma.reshape(*w_check.shape[:-1], p, p), w_check @ d.rho_hat
 
@@ -399,11 +453,12 @@ def m_step_beta(
     SingularSystemError
         If a system stays unfactorizable through the ridge escalation.
     """
-    w_check, w_plus = _cluster_weights(stats.n_r, tau.tau.T)
-    lost = _empty_clusters(w_plus[None], float(stats.n_r.sum()))
+    c = _constants(stats)
+    w_check, w_plus = _cluster_weights(c.n_r, tau.tau.T)
+    lost = _empty_clusters(w_plus[None], c.n_total)
     if lost:
         raise lost[0]
-    beta, solved = _solve_spd(*_pooled_systems(stats, w_check), ridge)
+    beta, solved = _solve_spd(*_pooled_systems(c, w_check), ridge)
     if not solved.all():
         raise SingularSystemError(_SINGULAR)
     return beta.T
@@ -428,9 +483,9 @@ def m_step_sigma2(
     keeps every variance strictly positive even when a cluster interpolates
     its groups exactly.
     """
-    w_check, _ = _cluster_weights(d.n_r, tau.tau.T)
-    E = _mean_sq_residuals(d.factors, np.asarray(beta, dtype=float).T)
-    return _m_step_sigma2(w_check, E, floor)
+    c = _constants(d)
+    E = _mean_sq_residuals(c.layout, np.asarray(beta, dtype=float).T)
+    return _m_step_sigma2(_cluster_weights(c.n_r, tau.tau.T)[0], E, floor)
 
 
 def _fill_empty_clusters(labels: np.ndarray, K: int, pick) -> np.ndarray:
@@ -449,9 +504,12 @@ def _fill_empty_clusters(labels: np.ndarray, K: int, pick) -> np.ndarray:
     return labels
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances (R, C) from each of R points to each of C centers."""
-    return ((points[:, None, :] - centers) ** 2).sum(axis=2)
+def _sq_dists(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances (R, C) from each of R points to each of C centers.
+
+    ``out`` (R, C, p) takes the coordinate differences and their squares.
+    """
+    return np.square(np.subtract(points[:, None, :], centers, out=out), out=out).sum(axis=2)
 
 
 def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -472,13 +530,14 @@ def _kmeans(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     def farthest(donors, labels):  # the first donor farthest from its center in the current d2
         return donors[np.argmax(d2[donors, labels[donors]])]
 
-    d2 = _sq_dists(points, centers)
+    diffs = np.empty((R, K, points.shape[1]))  # one buffer for every full distance pass
+    d2 = _sq_dists(points, centers, diffs)
     labels = d2.argmin(axis=1)
     for _ in range(KMEANS_ITERS):
         labels = _fill_empty_clusters(labels, K, farthest)
         for k in range(K):
             centers[k] = points[labels == k].mean(axis=0)
-        d2 = _sq_dists(points, centers)
+        d2 = _sq_dists(points, centers, diffs)
         new_labels = d2.argmin(axis=1)
         if (new_labels == labels).all():
             break
@@ -585,25 +644,24 @@ def _run_restarts(
     # The memory keeps init's (S, R, K) order until the first E-step, as a
     # restart run alone would.
     tau = np.stack(taus).swapaxes(1, 2)
-    n_total = float(d.n_r.sum())
+    c = _constants(d)
+    product = np.empty((len(taus), cfg.K, c.layout.shape[1]))  # every iteration's residual product
     traces: list[list[float]] = [[] for _ in seeds]
     for t in range(1, cfg.max_iter + 1):
         pi = _m_step_pi(tau)
-        w_check, w_plus = _cluster_weights(d.n_r, tau)
-        lost = _empty_clusters(w_plus, n_total)
+        w_check, w_plus = _cluster_weights(c.n_r, tau)
+        lost = _empty_clusters(w_plus, c.n_total)
         if lost:
             live, tau, pi, w_check = _abandon(outcomes, lost, live, tau, pi, w_check)
-        coefs, solved = _solve_spd(*_pooled_systems(d, w_check), cfg.ridge)
+        coefs, solved = _solve_spd(*_pooled_systems(c, w_check), cfg.ridge)
         if not solved.all():
-            unsolved = np.flatnonzero(~solved.all(axis=-1))
-            lost = {s: SingularSystemError(_SINGULAR) for s in unsolved}
-            live, tau, pi, w_check, coefs = _abandon(
-                outcomes, lost, live, tau, pi, w_check, coefs
-            )
-        E = _mean_sq_residuals(d.factors, coefs)
+            lost = {s: SingularSystemError(_SINGULAR) for s in np.flatnonzero(~solved.all(axis=-1))}
+            live, tau, pi, w_check, coefs = _abandon(outcomes, lost, live, tau, pi, w_check, coefs)
+        E = _mean_sq_residuals(c.layout, coefs, product[: live.size])
         sigma2 = _m_step_sigma2(w_check, E, floor)
-        row_ll, posterior = _log_normalize(_log_joint(d.n_r, pi, sigma2, E), axis=-2)
-        delta = np.abs(posterior - tau).max(axis=(1, 2))
+        del w_check  # each (S, K, R) array is released before the next one is made
+        row_ll, posterior = _log_normalize(_log_joint(c.n_r, pi, sigma2, E), axis=-2)
+        delta = np.abs(np.subtract(posterior, tau, out=tau), out=tau).max(axis=(1, 2))
         for i, ll in zip(live, row_ll.sum(axis=-1).tolist()):
             traces[i].append(ll)
         converged = delta < cfg.epsilon
@@ -619,7 +677,7 @@ def _run_restarts(
                 converged=bool(converged[s]),
                 ll_trace=trace,
             )
-        live, tau = live[~done], posterior[~done]
+        live, tau = (live[~done], posterior[~done]) if done.any() else (live, posterior)
         if not live.size:
             break
     return outcomes
@@ -685,12 +743,8 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
     compute_group_stats(d)
     strategy = cfg.init
     if cfg.K > d.R:
-        logger.warning(
-            "K=%d exceeds the number of groups R=%d; the posterior cannot "
-            "populate every cluster",
-            cfg.K,
-            d.R,
-        )
+        logger.warning("K=%d exceeds the number of groups R=%d; the posterior cannot "
+                       "populate every cluster", cfg.K, d.R)
         if strategy in _HARD_STRATEGIES:
             logger.warning("falling back to random_soft initialization")
             strategy = "random_soft"
@@ -704,14 +758,9 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
             logger.debug("restart %d abandoned: %s", i, outcome)
             failures.append((i, f"{type(outcome).__name__}: {outcome}"))
             continue
-        logger.debug(
-            "restart %d: ll=%.6f iters=%d converged=%s min_cluster_groups=%.2f",
-            i,
-            outcome.log_likelihood,
-            outcome.n_iter,
-            outcome.converged,
-            _min_cluster_groups(outcome),
-        )
+        logger.debug("restart %d: ll=%.6f iters=%d converged=%s min_cluster_groups=%.2f", i,
+                     outcome.log_likelihood, outcome.n_iter, outcome.converged,
+                     _min_cluster_groups(outcome))
         results.append(outcome)
     if not results:
         raise AllRestartsFailedError(failures)
