@@ -278,9 +278,10 @@ def _log_joint(n_r: np.ndarray, pi: np.ndarray, sigma2: np.ndarray, E: np.ndarra
     """
     with np.errstate(divide="ignore"):  # pi_k == 0 legitimately maps to -inf
         log_pi = np.log(pi)
+    norm_const = -0.5 * np.log(2.0 * np.pi * sigma2)
     E *= n_r
     E /= 2.0 * sigma2[..., None]
-    lj = n_r * (-0.5 * np.log(2.0 * np.pi * sigma2))[..., None]  # the normalizing constants
+    lj = n_r * norm_const[..., None]
     lj += log_pi[..., None]
     return np.subtract(lj, E, out=E)
 
@@ -484,8 +485,9 @@ def m_step_sigma2(
     its groups exactly.
     """
     c = _constants(d)
+    w_check, _ = _cluster_weights(c.n_r, tau.tau.T)
     E = _mean_sq_residuals(c.layout, np.asarray(beta, dtype=float).T)
-    return _m_step_sigma2(_cluster_weights(c.n_r, tau.tau.T)[0], E, floor)
+    return _m_step_sigma2(w_check, E, floor)
 
 
 def _fill_empty_clusters(labels: np.ndarray, K: int, pick) -> np.ndarray:
@@ -655,8 +657,11 @@ def _run_restarts(
             live, tau, pi, w_check = _abandon(outcomes, lost, live, tau, pi, w_check)
         coefs, solved = _solve_spd(*_pooled_systems(c, w_check), cfg.ridge)
         if not solved.all():
-            lost = {s: SingularSystemError(_SINGULAR) for s in np.flatnonzero(~solved.all(axis=-1))}
-            live, tau, pi, w_check, coefs = _abandon(outcomes, lost, live, tau, pi, w_check, coefs)
+            unsolved = np.flatnonzero(~solved.all(axis=-1))
+            lost = {s: SingularSystemError(_SINGULAR) for s in unsolved}
+            live, tau, pi, w_check, coefs = _abandon(
+                outcomes, lost, live, tau, pi, w_check, coefs
+            )
         E = _mean_sq_residuals(c.layout, coefs, product[: live.size])
         sigma2 = _m_step_sigma2(w_check, E, floor)
         del w_check  # each (S, K, R) array is released before the next one is made
@@ -743,8 +748,12 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
     compute_group_stats(d)
     strategy = cfg.init
     if cfg.K > d.R:
-        logger.warning("K=%d exceeds the number of groups R=%d; the posterior cannot "
-                       "populate every cluster", cfg.K, d.R)
+        logger.warning(
+            "K=%d exceeds the number of groups R=%d; the posterior cannot "
+            "populate every cluster",
+            cfg.K,
+            d.R,
+        )
         if strategy in _HARD_STRATEGIES:
             logger.warning("falling back to random_soft initialization")
             strategy = "random_soft"
@@ -758,9 +767,14 @@ def fit(d: GroupedDataset, cfg: EmConfig) -> FitResult:
             logger.debug("restart %d abandoned: %s", i, outcome)
             failures.append((i, f"{type(outcome).__name__}: {outcome}"))
             continue
-        logger.debug("restart %d: ll=%.6f iters=%d converged=%s min_cluster_groups=%.2f", i,
-                     outcome.log_likelihood, outcome.n_iter, outcome.converged,
-                     _min_cluster_groups(outcome))
+        logger.debug(
+            "restart %d: ll=%.6f iters=%d converged=%s min_cluster_groups=%.2f",
+            i,
+            outcome.log_likelihood,
+            outcome.n_iter,
+            outcome.converged,
+            _min_cluster_groups(outcome),
+        )
         results.append(outcome)
     if not results:
         raise AllRestartsFailedError(failures)

@@ -798,6 +798,22 @@ def test_select_k_checks_its_em_flags_before_reading_data(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--k-grid", ""], "empty K grid"),
+    (["--k-grid", "0,2"], "--k-grid: K values must be at least 1, got 0"),
+    (["--k-grid", "2", "--reps", "0"], "--reps: n_reps must be at least 1, got 0"),
+    (["--k-grid", "2", "--test-frac=nan"],
+     "--test-frac must lie strictly between 0 and 1, got nan"),
+    (["--k-grid", "2", "--test-frac", "1"],
+     "--test-frac must lie strictly between 0 and 1, got 1.0"),
+])
+def test_select_k_checks_each_flag_before_reading_data(tmp_path, capsys, flags, message):
+    missing = tmp_path / "missing.csv"
+    assert run(["select-k", "--data", str(missing), *flags, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("content, message", [
     (b'{"K": 2,\xff}', "invalid JSON ('utf-8' codec can't decode"),
     (b"[1, 2]", "expected a JSON object"),

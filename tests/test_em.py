@@ -127,6 +127,29 @@ def test_log_joint_and_sigma2_stay_exact_at_large_response_offsets():
         assert_allclose(m_step_sigma2(d, tau, beta, floor=1e-300), direct, rtol=1e-6)
 
 
+@pytest.mark.parametrize("R, K, p", [(40, 4, 4), (4000, 8, 8)])  # desk and large_pipeline shapes
+@pytest.mark.parametrize("S", [1, 3, 10])
+def test_mean_sq_residuals_of_a_stack_equal_each_restart_alone(R, K, p, S):
+    # BLAS picks its kernel, and so its rounding, by matrix size: each
+    # restart's residuals must not depend on how many restarts share its
+    # stack, nor on whether the product goes to a fresh array or to a slice
+    # of the kernel's buffer.
+    rng = np.random.default_rng(R + S)
+    d = compute_group_stats(random_dataset(rng, R=R, p=p, n_lo=1, n_hi=12))
+    layout = em._constants(d).layout
+    assert layout.shape == (p + 1, (p + 1) * R)
+    coefs = rng.normal(size=(S, K, p))
+    stacked = em._mean_sq_residuals(layout, coefs)
+    buffered = em._mean_sq_residuals(layout, coefs, np.empty((S + 2, K, layout.shape[1]))[:S])
+    assert stacked.shape == (S, K, R)
+    y, X, offsets = d.stacked
+    for s in range(S):
+        alone = em._mean_sq_residuals(layout, coefs[s])
+        assert (stacked[s] == alone).all() and (buffered[s] == alone).all()
+        direct = np.add.reduceat((y[:, None] - X @ coefs[s].T) ** 2, offsets) / d.n_r[:, None]
+        assert_allclose(alone, direct.T, rtol=1e-10)
+
+
 # ------------------------------------------------------------------ e_step
 
 
