@@ -454,12 +454,11 @@ def m_step_beta(
     SingularSystemError
         If a system stays unfactorizable through the ridge escalation.
     """
-    c = _constants(stats)
-    w_check, w_plus = _cluster_weights(c.n_r, tau.tau.T)
-    lost = _empty_clusters(w_plus[None], c.n_total)
+    w_check, w_plus = _cluster_weights(stats.n_r, tau.tau.T)
+    lost = _empty_clusters(w_plus[None], float(stats.n_r.sum()))
     if lost:
         raise lost[0]
-    beta, solved = _solve_spd(*_pooled_systems(c, w_check), ridge)
+    beta, solved = _solve_spd(*_pooled_systems(stats, w_check), ridge)
     if not solved.all():
         raise SingularSystemError(_SINGULAR)
     return beta.T
