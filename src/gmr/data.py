@@ -394,8 +394,9 @@ def compute_group_stats(d: GroupedDataset) -> GroupedDataset:
     (`GroupedDataset.sigma_hat`, `GroupedDataset.rho_hat`).  Later calls find
     them cached.  Returns ``d``, which every EM layer reads them from.
 
-    The dataset is validated first, on every call; see `validate_dataset` for
-    the errors.
+    The dataset is validated first; `validate_dataset` remembers a pass on the
+    frozen dataset, so only the first call scans its groups.  See
+    `validate_dataset` for the errors.
     """
     validate_dataset(d)
     d._moments  # the factors, then both moments off their Gram product

@@ -12,8 +12,8 @@ The M-steps are closed forms in the group statistics cached on the dataset
 weighted normal-equation system pooled over groups, and sigma2_k is a weighted
 average of per-group mean squared residuals.  Those residuals come from each
 group's (p+1) x (p+1) triangular factor (`GroupedDataset.factors`).  Group
-weights enter only through w_rk = n_r * tau_rk and its column normalization,
-so an iteration costs O(R K p^2) regardless of the raw observation count.
+weights enter only through w_rk = n_r * tau_rk and their sums w_plus_k, so an
+iteration costs O(R K p^2) regardless of the raw observation count.
 
 All restarts of a fit start through `init_responsibilities` (k-means starts
 share one group solve, kept on the dataset) and iterate in lockstep
@@ -21,14 +21,19 @@ share one group solve, kept on the dataset) and iterate in lockstep
 restarts still active; it is cluster-major, because numpy reduces a short last
 axis row by row, several times slower than across contiguous rows, and the
 E-step reduces over clusters.  The private kernels take such a leading restart
-axis wherever they say (..., K, R).  Each iteration makes one pooled
-(S*K, p, p) system build, one batched Cholesky factorization in `_solve_spd`,
-the one solver of every normal-equation stack, one residual product shared by
-the sigma2 update and the E-step, and one log-sum-exp over the cluster axis.
-What the steps read off the dataset is computed once per fit (`_constants`):
-the group sizes as floats, the flat moments, and the group factors in a
-group-contiguous residual layout, (p+1, (p+1)*R) with row i of every group's
-factor in one run of R columns.  Each cluster's residual product then is p+1
+axis wherever they say (..., K, R).  Besides pi's mean, an iteration reads tau
+once for its M-step: one product of tau with a table of group sums
+(`_pooled_systems`) gives the pooled weights w_plus and the pooled
+normal-equation systems, and only those few sums per cluster are divided by
+w_plus.  Then come one batched Cholesky-checked solve in `_solve_spd`, the one
+solver of every normal-equation stack; one residual product shared by the
+sigma2 update and the E-step; the log joint, written in place over the
+residuals; and one log-sum-exp over the cluster axis.  What the steps read off
+the dataset is computed once per fit (`_constants`): the group sizes as
+floats, the table ``[n_r | n_r rho_hat_r | n_r sigma_hat_r]`` with sigma_hat_r
+packed to its upper triangle, and the group factors in a group-contiguous
+residual layout, (p+1, (p+1)*R) with row i of every group's factor in one run
+of R columns.  Each cluster's residual product then is p+1
 contiguous rows of length R, and its squared norm sums over that axis of
 length p+1 rather than over a last axis p+1 wide, which numpy reduces element
 by element (`_mean_sq_residuals`).  The kernel writes that product into one
@@ -208,20 +213,30 @@ class _Constants(NamedTuple):
 
     n_r: np.ndarray  # (R,) group sizes as floats
     n_total: float
-    sigma_hat: np.ndarray  # (R, p * p), the moments of `GroupedDataset.sigma_hat` flattened
-    rho_hat: np.ndarray  # (R, p)
+    table: np.ndarray  # (R, 1 + p + p * (p + 1) / 2), see `_constants`
+    packed: np.ndarray  # (p, p), where `_pooled_systems` finds each matrix entry
     layout: np.ndarray  # (p + 1, (p + 1) * R), see `_mean_sq_residuals`
 
 
 def _constants(d: GroupedDataset) -> _Constants:
     """The per-fit constants of ``d``.
 
-    The residual layout holds the group factors as one (p+1, (p+1)*R) matrix
-    with entry ``[j, i*R + r] = factors[r, i, j]``.
+    Row r of the table holds group r's sums over its rows,
+    ``[n_r | n_r rho_hat_r | n_r sigma_hat_r]``, with the symmetric sigma_hat_r
+    packed to its upper triangle row by row; ``packed[i, j]`` is the position
+    of sigma_hat entry (i, j) in a table row after its first column.  The
+    residual layout holds the group factors as one (p+1, (p+1)*R) matrix with
+    entry ``[j, i*R + r] = factors[r, i, j]``.
     """
     n_r = d.n_r.astype(float)
+    upper = np.triu_indices(d.p)
+    table = np.column_stack([np.ones(d.R), d.rho_hat, d.sigma_hat[:, upper[0], upper[1]]])
+    table *= n_r[:, None]
+    packed = np.zeros((d.p, d.p), dtype=np.intp)
+    packed[upper] = np.arange(d.p, d.p + upper[0].size)
+    packed = np.maximum(packed, packed.T)
     layout = np.ascontiguousarray(d.factors.T.reshape(d.p + 1, -1))
-    return _Constants(n_r, float(n_r.sum()), d.sigma_hat.reshape(d.R, -1), d.rho_hat, layout)
+    return _Constants(n_r, float(n_r.sum()), table, packed, layout)
 
 
 def _mean_sq_residuals(layout: np.ndarray, coefs: np.ndarray, out=None) -> NDArray[np.float64]:
@@ -274,16 +289,17 @@ def _log_normalize(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.n
 def _log_joint(n_r: np.ndarray, pi: np.ndarray, sigma2: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Cluster-major log joint (..., K, R) from pi and sigma2 (..., K) and E (..., K, R).
 
-    ``n_r`` holds the group sizes as floats.  The log joint overwrites E.
+    ``n_r`` holds the group sizes as floats.  The log joint
+    ``n_r (-log(2 pi sigma2_k) / 2 - E_rk / (2 sigma2_k)) + log pi_k`` overwrites
+    E in four passes, with no temporary of E's size.  A pi_k of 0 gives
+    ``-inf`` and a divide warning; `fit`'s restarts never meet one, since a
+    restart with an empty cluster leaves before its log joint.
     """
-    with np.errstate(divide="ignore"):  # pi_k == 0 legitimately maps to -inf
-        log_pi = np.log(pi)
-    norm_const = -0.5 * np.log(2.0 * np.pi * sigma2)
+    E *= (-0.5 / sigma2)[..., None]
+    E += (-0.5 * np.log(2.0 * np.pi * sigma2))[..., None]
     E *= n_r
-    E /= 2.0 * sigma2[..., None]
-    lj = n_r * norm_const[..., None]
-    lj += log_pi[..., None]
-    return np.subtract(lj, E, out=E)
+    E += np.log(pi)[..., None]
+    return E
 
 
 def log_joint(stats: GroupedDataset, params: ModelParams) -> NDArray[np.float64]:
@@ -312,7 +328,8 @@ def log_joint(stats: GroupedDataset, params: ModelParams) -> NDArray[np.float64]
         )
     c = _constants(stats)
     E = _mean_sq_residuals(c.layout, params.beta.T)
-    return _log_joint(c.n_r, params.pi, params.sigma2, E).T
+    with np.errstate(divide="ignore"):  # pi_k == 0 legitimately maps to -inf
+        return _log_joint(c.n_r, params.pi, params.sigma2, E).T
 
 
 def e_step(log_joint_matrix: NDArray[np.float64]) -> Responsibilities:
@@ -347,25 +364,28 @@ def _identity(p: int) -> np.ndarray:
 
 
 def _ridged_solve(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
-    """Cholesky solve of ``(A + lambda I) x = b`` with ``lambda = rel_ridge * trace(A)/p``.
+    """Cholesky-checked solve of ``(A + lambda I) x = b`` with ``lambda = rel_ridge * trace(A)/p``.
 
-    A is (..., p, p) and b (..., p); each system of a stack gets its own
-    lambda and its single-call arithmetic, so a batch and a loop agree to the
-    last bit.  Raises ``LinAlgError`` if some shifted system is not definite.
+    A is (..., p, p) and b (..., p).  A Cholesky factorization tests that
+    every shifted system is definite and raises ``LinAlgError`` if one is
+    not; x then comes from one LU solve of each shifted system, which costs
+    less than two triangular solves through the general solver.  Each system
+    of a stack gets its own lambda and its single-call arithmetic, so a batch
+    and a loop agree to the last bit.
     """
     p = b.shape[-1]
     scale = np.trace(A, axis1=-2, axis2=-1) / p
-    L = np.linalg.cholesky(A + (rel_ridge * scale)[..., None, None] * _identity(p))
-    half = np.linalg.solve(L, b[..., None])
-    return np.linalg.solve(np.swapaxes(L, -1, -2), half)[..., 0]
+    shifted = A + (rel_ridge * scale)[..., None, None] * _identity(p)
+    np.linalg.cholesky(shifted)
+    return np.linalg.solve(shifted, b[..., None])[..., 0]
 
 
 def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve the symmetric PSD systems ``(A + lambda I) x = b``, A (..., p, p) and b (..., p).
 
-    ``lambda = rel_ridge * trace(A)/p``.  One batched Cholesky call factors the
-    whole stack.  If it fails, each slice of the leading axis is solved on its
-    own, down to single systems, so only a system that does not factor climbs
+    ``lambda = rel_ridge * trace(A)/p``.  One batched Cholesky-checked solve
+    (`_ridged_solve`) serves the whole stack.  If its factorization fails,
+    each slice of the leading axis is solved on its own, down to single systems, so only a system that does not factor climbs
     the ridge ladder: its relative ridge escalates by factors of 10 up to
     ``RIDGE_MAX_REL`` (``rel_ridge=0`` enters the ladder at 1e-10).  Returns x
     and a boolean mask (...) of the systems solved, or ``np.True_`` when the
@@ -390,17 +410,6 @@ def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> tuple[np.ndarr
             pass
 
 
-def _cluster_weights(n_r: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized group weights (..., K, R) and their sums (..., K).
-
-    ``w_rk = n_r tau_rk`` for cluster-major ``tau``; each cluster's row is
-    divided by its sum ``w_plus``, and a row with no weight stays zero.
-    """
-    w = n_r * tau
-    w_plus = w.sum(axis=-1)
-    return np.divide(w, np.where(w_plus > 0, w_plus, 1.0)[..., None], out=w), w_plus
-
-
 def _empty_clusters(w_plus: np.ndarray, n_total: float) -> dict[int, EmptyClusterError]:
     """The error of each restart in a stack of pooled weights (S, K) that lost a cluster.
 
@@ -418,16 +427,24 @@ def _empty_clusters(w_plus: np.ndarray, n_total: float) -> dict[int, EmptyCluste
     return lost
 
 
-def _pooled_systems(d, w_check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal-equation matrices (..., K, p, p) and right-hand sides (..., K, p).
+def _nonzero(w_plus: np.ndarray) -> np.ndarray:
+    """``w_plus`` with zeros replaced by 1, so a cluster with no weight divides to zeros."""
+    return np.where(w_plus > 0, w_plus, 1.0)
 
-    ``w_check`` holds the normalized weights (..., K, R) of `_cluster_weights`.
-    The moments come from a `GroupedDataset` or from a fit's `_Constants`,
-    which hold them flat already.
+
+def _pooled_systems(c: _Constants, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pooled weights (..., K), normal-equation matrices (..., K, p, p) and right-hand sides (..., K, p).
+
+    One product of cluster-major ``tau`` (..., K, R) with the table of
+    `_constants` gives each cluster's ``w_plus = sum_r n_r tau_rk`` and its
+    pooled sums of group moments; only those few sums are divided by w_plus.
+    A stack gets one product per restart, never one of all its S*K rows
+    (see `_mean_sq_residuals`).
     """
-    R, p = d.rho_hat.shape
-    pooled_sigma = w_check @ d.sigma_hat.reshape(R, p * p)
-    return pooled_sigma.reshape(*w_check.shape[:-1], p, p), w_check @ d.rho_hat
+    sums = np.matmul(tau, c.table)
+    w_plus = sums[..., 0]
+    pooled = sums[..., 1:] / _nonzero(w_plus)[..., None]
+    return w_plus, pooled[..., c.packed], pooled[..., : len(c.packed)]
 
 
 def m_step_beta(
@@ -435,13 +452,13 @@ def m_step_beta(
 ) -> NDArray[np.float64]:
     """Update coefficients: per-cluster weighted normal equations.
 
-    With weights ``w_rk = n_r tau_rk`` normalized over groups to ``w_check``,
-    cluster k solves
+    With weights ``w_rk = n_r tau_rk`` and their sums ``w_plus[k]``, cluster k
+    solves
 
-        (sum_r w_check[r, k] sigma_hat[r] + lambda I) beta_k
-            = sum_r w_check[r, k] rho_hat[r]
+        (sum_r w_rk sigma_hat[r] / w_plus[k] + lambda I) beta_k
+            = sum_r w_rk rho_hat[r] / w_plus[k]
 
-    via a symmetric positive-definite factorization.  This equals the normal
+    through a Cholesky-checked solve.  This equals the normal
     equations of a per-observation least squares problem where every
     observation of group r carries weight ``tau_rk``.  All K systems go
     through `_solve_spd` at ``lambda = ridge * trace/p``.
@@ -454,19 +471,26 @@ def m_step_beta(
     SingularSystemError
         If a system stays unfactorizable through the ridge escalation.
     """
-    w_check, w_plus = _cluster_weights(stats.n_r, tau.tau.T)
-    lost = _empty_clusters(w_plus[None], float(stats.n_r.sum()))
+    c = _constants(stats)
+    w_plus, A, b = _pooled_systems(c, tau.tau.T)
+    lost = _empty_clusters(w_plus[None], c.n_total)
     if lost:
         raise lost[0]
-    beta, solved = _solve_spd(*_pooled_systems(stats, w_check), ridge)
+    beta, solved = _solve_spd(A, b, ridge)
     if not solved.all():
         raise SingularSystemError(_SINGULAR)
     return beta.T
 
 
-def _m_step_sigma2(w_check: np.ndarray, E: np.ndarray, floor: float) -> np.ndarray:
-    """Noise variances (..., K) from normalized weights and mean squared residuals (..., K, R)."""
-    return np.maximum(floor, np.einsum("...kr,...kr->...k", w_check, E))
+def _m_step_sigma2(
+    n_r: np.ndarray, tau: np.ndarray, w_plus: np.ndarray, E: np.ndarray, floor: float
+) -> np.ndarray:
+    """Noise variances (..., K), ``max(floor, sum_r n_r tau_rk E_rk / w_plus_k)``.
+
+    ``tau`` and the mean squared residuals ``E`` are cluster-major (..., K, R),
+    ``w_plus`` (..., K) are the pooled weights of `_pooled_systems`.
+    """
+    return np.maximum(floor, np.einsum("...kr,r,...kr->...k", tau, n_r, E) / _nonzero(w_plus))
 
 
 def m_step_sigma2(
@@ -477,16 +501,16 @@ def m_step_sigma2(
 ) -> NDArray[np.float64]:
     """Update noise variances: weighted average of mean squared residuals.
 
-    ``sigma2_k = max(floor, sum_r w_check[r, k] * E_rk)`` where E_rk is group
-    r's mean squared residual under the freshly updated beta, read off the
-    dataset's cached triangular factors (`GroupedDataset.factors`).  The floor
+    ``sigma2_k = max(floor, sum_r n_r tau_rk E_rk / sum_r n_r tau_rk)`` where
+    E_rk is group r's mean squared residual under the freshly updated beta,
+    read off the dataset's cached triangular factors (`GroupedDataset.factors`).  The floor
     keeps every variance strictly positive even when a cluster interpolates
     its groups exactly.
     """
     c = _constants(d)
-    w_check, _ = _cluster_weights(c.n_r, tau.tau.T)
+    w_plus, _, _ = _pooled_systems(c, tau.tau.T)
     E = _mean_sq_residuals(c.layout, np.asarray(beta, dtype=float).T)
-    return _m_step_sigma2(w_check, E, floor)
+    return _m_step_sigma2(c.n_r, tau.tau.T, w_plus, E, floor)
 
 
 def _fill_empty_clusters(labels: np.ndarray, K: int, pick) -> np.ndarray:
@@ -645,45 +669,49 @@ def _run_restarts(
     # The memory keeps init's (S, R, K) order until the first E-step, as a
     # restart run alone would.
     tau = np.stack(taus).swapaxes(1, 2)
+    del taus
     c = _constants(d)
-    product = np.empty((len(taus), cfg.K, c.layout.shape[1]))  # every iteration's residual product
-    traces: list[list[float]] = [[] for _ in seeds]
+    product = np.empty((live.size, cfg.K, c.layout.shape[1]))  # every iteration's residual product
+    # Each restart's log-likelihood history, one row per seed; grown by
+    # doubling, so a large max_iter reserves nothing the restarts do not reach.
+    lls = np.empty((len(seeds), min(cfg.max_iter, 256)))
     for t in range(1, cfg.max_iter + 1):
         pi = _m_step_pi(tau)
-        w_check, w_plus = _cluster_weights(c.n_r, tau)
+        w_plus, A, b = _pooled_systems(c, tau)
         lost = _empty_clusters(w_plus, c.n_total)
         if lost:
-            live, tau, pi, w_check = _abandon(outcomes, lost, live, tau, pi, w_check)
-        coefs, solved = _solve_spd(*_pooled_systems(c, w_check), cfg.ridge)
+            live, tau, pi, w_plus, A, b = _abandon(outcomes, lost, live, tau, pi, w_plus, A, b)
+        coefs, solved = _solve_spd(A, b, cfg.ridge)
         if not solved.all():
             unsolved = np.flatnonzero(~solved.all(axis=-1))
             lost = {s: SingularSystemError(_SINGULAR) for s in unsolved}
-            live, tau, pi, w_check, coefs = _abandon(
-                outcomes, lost, live, tau, pi, w_check, coefs
-            )
+            live, tau, pi, w_plus, coefs = _abandon(outcomes, lost, live, tau, pi, w_plus, coefs)
         E = _mean_sq_residuals(c.layout, coefs, product[: live.size])
-        sigma2 = _m_step_sigma2(w_check, E, floor)
-        del w_check  # each (S, K, R) array is released before the next one is made
+        sigma2 = _m_step_sigma2(c.n_r, tau, w_plus, E, floor)
         row_ll, posterior = _log_normalize(_log_joint(c.n_r, pi, sigma2, E), axis=-2)
-        delta = np.abs(np.subtract(posterior, tau, out=tau), out=tau).max(axis=(1, 2))
-        for i, ll in zip(live, row_ll.sum(axis=-1).tolist()):
-            traces[i].append(ll)
+        np.subtract(posterior, tau, out=tau)
+        delta = np.maximum(tau.max(axis=(1, 2)), -tau.min(axis=(1, 2)))
+        tau = posterior  # the previous stack is released before any copy of this one
+        if t > lls.shape[1]:
+            lls = np.concatenate([lls, np.empty_like(lls)], axis=1)
+        lls[live, t - 1] = row_ll.sum(axis=-1)
         converged = delta < cfg.epsilon
         done = converged | (t == cfg.max_iter)
-        for s in np.flatnonzero(done):
-            trace = _readonly(traces[live[s]])
-            outcomes[live[s]] = FitResult(
-                params=ModelParams(pi=pi[s], beta=coefs[s].T, sigma2=sigma2[s]),
-                tau=Responsibilities(posterior[s].T),
-                group_ids=d.group_ids,
-                log_likelihood=float(trace[-1]),
-                n_iter=trace.size,
-                converged=bool(converged[s]),
-                ll_trace=trace,
-            )
-        live, tau = (live[~done], posterior[~done]) if done.any() else (live, posterior)
-        if not live.size:
-            break
+        if done.any():
+            for s in np.flatnonzero(done):
+                trace = _readonly(lls[live[s], :t])
+                outcomes[live[s]] = FitResult(
+                    params=ModelParams(pi=pi[s], beta=coefs[s].T, sigma2=sigma2[s]),
+                    tau=Responsibilities(tau[s].T),
+                    group_ids=d.group_ids,
+                    log_likelihood=float(trace[-1]),
+                    n_iter=t,
+                    converged=bool(converged[s]),
+                    ll_trace=trace,
+                )
+            live, tau = live[~done], tau[~done]
+            if not live.size:
+                break
     return outcomes
 
 

@@ -665,7 +665,7 @@ PIPELINE_DIGESTS = {
     "dataset.csv": "e92dff777262f439ed19215cea3b44757152de1c04446d54faaec5210d802506",
     "train.csv": "36028d537fc3dfb1aa70a1abc85cbb850fbef2c696163fcee978ad2d7ab40486",
     "test.csv": "4470791bd72f197cce0c85457ac7ba3b438dd7e1e8c821e167929043f0adce21",
-    "preds.csv": "fc0f93a8d34cd21c42a48f949a828538d9a6a3514b5cd5277e576e65c2565438",
+    "preds.csv": "ece5b15b5a8e462672cad8c77266afe4b0621cf561b987d58792d6d947af7bd5",
 }
 
 

@@ -150,6 +150,32 @@ def test_mean_sq_residuals_of_a_stack_equal_each_restart_alone(R, K, p, S):
         assert_allclose(alone, direct.T, rtol=1e-10)
 
 
+@pytest.mark.parametrize("R, K, p", [(40, 4, 4), (4000, 8, 8)])  # desk and large_pipeline shapes
+@pytest.mark.parametrize("S", [1, 3, 10])
+def test_tau_products_of_a_stack_equal_each_restart_alone(R, K, p, S):
+    # pi, the pooled weights and the pooled systems come from one product of
+    # tau per restart, so they must not depend on how many restarts share the
+    # stack, neither in init's (S, R, K) memory order nor in the E-step's.
+    rng = np.random.default_rng(R + S)
+    d = compute_group_stats(random_dataset(rng, R=R, p=p, n_lo=1, n_hi=12))
+    c = em._constants(d)
+    init_order = rng.dirichlet(np.ones(K), size=(S, R)).swapaxes(1, 2)
+    for tau in (init_order, np.ascontiguousarray(init_order)):
+        pi = em._m_step_pi(tau)
+        w_plus, A, b = em._pooled_systems(c, tau)
+        assert A.shape == (S, K, p, p) and b.shape == (S, K, p)
+        for s in range(S):
+            w_alone, A_alone, b_alone = em._pooled_systems(c, tau[s])
+            assert (pi[s] == em._m_step_pi(tau[s])).all() and (w_plus[s] == w_alone).all()
+            assert (A[s] == A_alone).all() and (b[s] == b_alone).all()
+            w = d.n_r * tau[s]
+            assert_allclose(w_alone, w.sum(axis=-1), rtol=1e-12)
+            assert_allclose(A_alone, np.einsum("kr,rij->kij", w, d.sigma_hat) / w_alone[:, None, None],
+                            rtol=1e-10)
+            assert_allclose(b_alone, w @ d.rho_hat / w_alone[:, None], rtol=1e-10)
+            assert (A_alone == np.swapaxes(A_alone, -1, -2)).all()
+
+
 # ------------------------------------------------------------------ e_step
 
 
@@ -288,7 +314,7 @@ def test_m_step_beta_ridge_rescues_duplicate_columns():
 
 def per_system_beta(stats, tau, ridge):
     """Reference for `m_step_beta`: each cluster's system through `_solve_spd`."""
-    pooled_sigma, pooled_rho = em._pooled_systems(stats, em._cluster_weights(stats.n_r, tau.tau.T)[0])
+    _, pooled_sigma, pooled_rho = em._pooled_systems(em._constants(stats), tau.tau.T)
     return np.column_stack(
         [em._solve_spd(pooled_sigma[k], pooled_rho[k], ridge)[0] for k in range(tau.K)]
     )
@@ -717,6 +743,28 @@ def test_lockstep_restarts_do_not_depend_on_their_siblings():
         assert (a.tau.tau == b.tau.tau).all()
 
 
+@pytest.mark.parametrize("init", ["random_hard", "random_soft", "kmeans_on_group_coefs"])
+def test_one_kernel_iteration_equals_the_public_steps(init):
+    # Each formula lives in one place: an iteration of the lockstep kernel
+    # from tau_0 gives the bits of m_step_pi -> m_step_beta -> m_step_sigma2
+    # -> log_joint -> e_step from the same tau_0.
+    d, _ = generate(SimConfig(n=600, K=3, p=3, G=10, sigma=4.0, delta_beta=6.0, seed=4))
+    compute_group_stats(d)
+    cfg = EmConfig(K=4, n_restarts=3, max_iter=1, init=init, seed=5)
+    floor = em._variance_floor(d, cfg)
+    seeds = np.random.SeedSequence(5).spawn(3)
+    for seed, out in zip(seeds, em._run_restarts(d, cfg, init, floor, seeds)):
+        tau0 = init_responsibilities(d.R, cfg.K, init, seed, stats=d)
+        pi = m_step_pi(tau0)
+        beta = m_step_beta(d, tau0, cfg.ridge)
+        sigma2 = m_step_sigma2(d, tau0, beta, floor)
+        lj = log_joint(d, ModelParams(pi, beta, sigma2))
+        assert (out.params.pi == pi).all() and (out.params.beta == beta).all()
+        assert (out.params.sigma2 == sigma2).all()
+        assert (out.tau.tau == e_step(lj).tau).all()
+        assert out.log_likelihood == log_marginal_likelihood(lj)
+
+
 def test_restart_that_empties_a_cluster_leaves_its_siblings_running(caplog):
     # Restarts 2 and 4 lose a cluster in their third iteration, after
     # restart 0 has converged, so they sit at stack positions 1 and 3; the
@@ -760,7 +808,7 @@ def test_only_the_restart_with_a_singular_system_meets_the_ridge_ladder(monkeypa
     taus = [init_responsibilities(d.R, 2, "random_hard", s).tau for s in seeds]
     isolating = [i for i, t in enumerate(taus) if (t.argmax(axis=1) == t[0].argmax()).sum() == 1]
     assert len(isolating) == 1
-    expected, _ = em._pooled_systems(d, em._cluster_weights(d.n_r, taus[isolating[0]].T)[0])
+    _, expected, _ = em._pooled_systems(em._constants(d), taus[isolating[0]].T)
 
     calls = []
     real = em._solve_spd

@@ -127,3 +127,27 @@ def test_select_k_rejects_bad_grid():
         select_k(d, [0, 2], seed=0)
     with pytest.raises(ValueError):
         select_k(d, [2], n_reps=0, seed=0)
+
+
+def test_select_k_scans_each_split_once(monkeypatch):
+    # Every fit and baseline_ols validates its training split, and every
+    # prediction its test split.  A split's groups are scanned by the first
+    # of these calls only; the later ones find the pass remembered.
+    import gmr.data
+    import gmr.predict
+
+    calls, scans = [], []
+    real = gmr.data.validate_dataset
+
+    def counting(d):
+        calls.append(d)
+        if not getattr(d, "_valid", False):
+            scans.append(d)
+        real(d)
+
+    monkeypatch.setattr(gmr.data, "validate_dataset", counting)
+    monkeypatch.setattr(gmr.predict, "validate_dataset", counting)
+    d, _ = generate(SimConfig(n=600, K=2, p=2, G=10, sigma=1.0, delta_beta=6.0, seed=0))
+    select_k(d, [2, 3], EmConfig(K=1, n_restarts=2), n_reps=2, seed=0)
+    assert len(calls) == 2 * (3 + 2)  # per rep: baseline_ols and two fits, two predictions
+    assert len(scans) == len({id(s) for s in scans}) == 2 * 2  # each rep's two splits
