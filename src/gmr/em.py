@@ -37,8 +37,9 @@ of R columns.  Each cluster's residual product then is p+1
 contiguous rows of length R, and its squared norm sums over that axis of
 length p+1 rather than over a last axis p+1 wide, which numpy reduces element
 by element (`_mean_sq_residuals`).  The kernel writes that product into one
-buffer per fit, and each (S, K, R) temporary is overwritten in place or
-released before the next one is made, so an iteration holds few of them.
+buffer per fit, for as many restarts at a time as fit in `PRODUCT_BYTES`, and
+each (S, K, R) temporary is overwritten in place or released before the next
+one is made, so an iteration holds few of them.
 A restart leaves the active set when it converges, reaches ``max_iter``,
 empties a cluster or keeps a singular system through `_solve_spd`'s ridge
 ladder; the others go on without it and compute exactly what they would
@@ -103,6 +104,10 @@ EMPTY_CLUSTER_REL_TOL = 1e-12
 # mean diagonal of the system matrix).
 RIDGE_MAX_REL = 1e-4
 _SINGULAR = f"normal equations singular even at relative ridge {RIDGE_MAX_REL}"
+
+# The lockstep kernel forms its residual product for as many restarts at a
+# time as fit in this many bytes, and for at least one.
+PRODUCT_BYTES = 1 << 20
 
 # Relative variance floor applied when EmConfig.sigma2_floor is not given.
 VAR_FLOOR_REL = 1e-8
@@ -233,13 +238,12 @@ def _constants(d: GroupedDataset) -> _Constants:
     table = np.column_stack([np.ones(d.R), d.rho_hat, d.sigma_hat[:, upper[0], upper[1]]])
     table *= n_r[:, None]
     packed = np.zeros((d.p, d.p), dtype=np.intp)
-    packed[upper] = np.arange(d.p, d.p + upper[0].size)
-    packed = np.maximum(packed, packed.T)
+    packed[upper] = packed.T[upper] = np.arange(d.p, d.p + upper[0].size)
     layout = np.ascontiguousarray(d.factors.T.reshape(d.p + 1, -1))
     return _Constants(n_r, float(n_r.sum()), table, packed, layout)
 
 
-def _mean_sq_residuals(layout: np.ndarray, coefs: np.ndarray, out=None) -> NDArray[np.float64]:
+def _mean_sq_residuals(layout: np.ndarray, coefs: np.ndarray, out=None, result=None) -> np.ndarray:
     """Per-group mean squared residual under each cluster's coefficients, (..., K, R).
 
     ``coefs`` is (..., K, p) and ``layout`` the (p+1, (p+1)*R) residual layout
@@ -252,7 +256,8 @@ def _mean_sq_residuals(layout: np.ndarray, coefs: np.ndarray, out=None) -> NDArr
     element by element, several times slower.  A stack gets one such product
     per restart, not one product of all S*K rows: BLAS picks its kernel, and so
     its rounding, by matrix size, and a restart's result must not depend on how
-    many others share its stack.  ``out`` (..., K, (p+1)*R) takes the product.
+    many others share its stack.  ``out`` (..., K, (p+1)*R) takes the product
+    and ``result`` (..., K, R) the residuals.
     """
     q, qR = layout.shape
     augmented = np.empty((*coefs.shape[:-2], q, coefs.shape[-2]))  # (..., p + 1, K)
@@ -260,7 +265,7 @@ def _mean_sq_residuals(layout: np.ndarray, coefs: np.ndarray, out=None) -> NDArr
     augmented[..., -1, :] = -1.0
     v = np.matmul(np.swapaxes(augmented, -1, -2), layout, out=out)
     v = v.reshape(*v.shape[:-1], q, qR // q)
-    return np.einsum("...qr,...qr->...r", v, v)
+    return np.einsum("...qr,...qr->...r", v, v, out=result)
 
 
 def _log_sum_exp(
@@ -669,9 +674,9 @@ def _run_restarts(
     # The memory keeps init's (S, R, K) order until the first E-step, as a
     # restart run alone would.
     tau = np.stack(taus).swapaxes(1, 2)
-    del taus
     c = _constants(d)
-    product = np.empty((live.size, cfg.K, c.layout.shape[1]))  # every iteration's residual product
+    rows = max(1, PRODUCT_BYTES // (8 * cfg.K * c.layout.shape[1]))  # restarts per product
+    product = np.empty((min(rows, live.size), cfg.K, c.layout.shape[1]))  # reused every iteration
     # Each restart's log-likelihood history, one row per seed; grown by
     # doubling, so a large max_iter reserves nothing the restarts do not reach.
     lls = np.empty((len(seeds), min(cfg.max_iter, 256)))
@@ -686,7 +691,10 @@ def _run_restarts(
             unsolved = np.flatnonzero(~solved.all(axis=-1))
             lost = {s: SingularSystemError(_SINGULAR) for s in unsolved}
             live, tau, pi, w_plus, coefs = _abandon(outcomes, lost, live, tau, pi, w_plus, coefs)
-        E = _mean_sq_residuals(c.layout, coefs, product[: live.size])
+        E = np.empty(tau.shape)
+        for s in range(0, live.size, rows):
+            chunk = coefs[s : s + rows]
+            _mean_sq_residuals(c.layout, chunk, product[: len(chunk)], E[s : s + rows])
         sigma2 = _m_step_sigma2(c.n_r, tau, w_plus, E, floor)
         row_ll, posterior = _log_normalize(_log_joint(c.n_r, pi, sigma2, E), axis=-2)
         np.subtract(posterior, tau, out=tau)

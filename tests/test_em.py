@@ -765,6 +765,28 @@ def test_one_kernel_iteration_equals_the_public_steps(init):
         assert out.log_likelihood == log_marginal_likelihood(lj)
 
 
+def test_residual_products_in_chunks_change_no_restart(monkeypatch):
+    # A large residual product is formed a few restarts at a time
+    # (`PRODUCT_BYTES`); no restart's outcome may move by a bit.
+    d, _ = generate(SimConfig(n=600, K=3, p=3, G=10, sigma=4.0, delta_beta=6.0, seed=4))
+    compute_group_stats(d)
+    cfg = EmConfig(K=3, n_restarts=5, init="random_soft", seed=6)
+    floor = em._variance_floor(d, cfg)
+    seeds = np.random.SeedSequence(6).spawn(5)
+    whole = em._run_restarts(d, cfg, "random_soft", floor, seeds)
+    assert len({o.n_iter for o in whole}) >= 3
+    real = em._mean_sq_residuals
+    for rows in (1, 2):
+        sizes = []
+        monkeypatch.setattr(em, "PRODUCT_BYTES", rows * 8 * cfg.K * (d.p + 1) * d.R)
+        monkeypatch.setattr(em, "_mean_sq_residuals", lambda *a: sizes.append(len(a[1])) or real(*a))
+        for a, b in zip(whole, em._run_restarts(d, cfg, "random_soft", floor, seeds)):
+            assert (a.ll_trace == b.ll_trace).all() and (a.tau.tau == b.tau.tau).all()
+            for name in ("pi", "beta", "sigma2"):
+                assert (getattr(a.params, name) == getattr(b.params, name)).all()
+        assert max(sizes) == rows
+
+
 def test_restart_that_empties_a_cluster_leaves_its_siblings_running(caplog):
     # Restarts 2 and 4 lose a cluster in their third iteration, after
     # restart 0 has converged, so they sit at stack positions 1 and 3; the
