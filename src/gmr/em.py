@@ -369,7 +369,7 @@ def _identity(p: int) -> np.ndarray:
 
 
 def _ridged_solve(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> np.ndarray:
-    """Cholesky-checked solve of ``(A + lambda I) x = b`` with ``lambda = rel_ridge * trace(A)/p``.
+    """Solve ``(A + lambda I) x = b``, ``lambda = rel_ridge * trace(A)/p``, after a Cholesky check.
 
     A is (..., p, p) and b (..., p).  A Cholesky factorization tests that
     every shifted system is definite and raises ``LinAlgError`` if one is
@@ -390,9 +390,10 @@ def _solve_spd(A: np.ndarray, b: np.ndarray, rel_ridge: float) -> tuple[np.ndarr
 
     ``lambda = rel_ridge * trace(A)/p``.  One batched Cholesky-checked solve
     (`_ridged_solve`) serves the whole stack.  If its factorization fails,
-    each slice of the leading axis is solved on its own, down to single systems, so only a system that does not factor climbs
-    the ridge ladder: its relative ridge escalates by factors of 10 up to
-    ``RIDGE_MAX_REL`` (``rel_ridge=0`` enters the ladder at 1e-10).  Returns x
+    each slice of the leading axis is solved on its own, down to single
+    systems, so only a system that does not factor climbs the ridge ladder:
+    its relative ridge escalates by factors of 10 up to ``RIDGE_MAX_REL``
+    (``rel_ridge=0`` enters the ladder at 1e-10).  Returns x
     and a boolean mask (...) of the systems solved, or ``np.True_`` when the
     batched call solved them all; an unsolved system, one still singular at
     the top of the ladder, gets x = 0.
@@ -438,7 +439,7 @@ def _nonzero(w_plus: np.ndarray) -> np.ndarray:
 
 
 def _pooled_systems(c: _Constants, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pooled weights (..., K), normal-equation matrices (..., K, p, p) and right-hand sides (..., K, p).
+    """Pooled weights (..., K), normal-equation matrices (..., K, p, p) and right sides (..., K, p).
 
     One product of cluster-major ``tau`` (..., K, R) with the table of
     `_constants` gives each cluster's ``w_plus = sum_r n_r tau_rk`` and its
@@ -508,9 +509,9 @@ def m_step_sigma2(
 
     ``sigma2_k = max(floor, sum_r n_r tau_rk E_rk / sum_r n_r tau_rk)`` where
     E_rk is group r's mean squared residual under the freshly updated beta,
-    read off the dataset's cached triangular factors (`GroupedDataset.factors`).  The floor
-    keeps every variance strictly positive even when a cluster interpolates
-    its groups exactly.
+    read off the dataset's cached triangular factors (`GroupedDataset.factors`).
+    The floor keeps every variance strictly positive even when a cluster
+    interpolates its groups exactly.
     """
     c = _constants(d)
     w_plus, _, _ = _pooled_systems(c, tau.tau.T)

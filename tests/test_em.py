@@ -170,8 +170,8 @@ def test_tau_products_of_a_stack_equal_each_restart_alone(R, K, p, S):
             assert (A[s] == A_alone).all() and (b[s] == b_alone).all()
             w = d.n_r * tau[s]
             assert_allclose(w_alone, w.sum(axis=-1), rtol=1e-12)
-            assert_allclose(A_alone, np.einsum("kr,rij->kij", w, d.sigma_hat) / w_alone[:, None, None],
-                            rtol=1e-10)
+            pooled = np.einsum("kr,rij->kij", w, d.sigma_hat) / w_alone[:, None, None]
+            assert_allclose(A_alone, pooled, rtol=1e-10)
             assert_allclose(b_alone, w @ d.rho_hat / w_alone[:, None], rtol=1e-10)
             assert (A_alone == np.swapaxes(A_alone, -1, -2)).all()
 
@@ -779,7 +779,8 @@ def test_residual_products_in_chunks_change_no_restart(monkeypatch):
     for rows in (1, 2):
         sizes = []
         monkeypatch.setattr(em, "PRODUCT_BYTES", rows * 8 * cfg.K * (d.p + 1) * d.R)
-        monkeypatch.setattr(em, "_mean_sq_residuals", lambda *a: sizes.append(len(a[1])) or real(*a))
+        monkeypatch.setattr(em, "_mean_sq_residuals",
+                            lambda *a: sizes.append(len(a[1])) or real(*a))
         for a, b in zip(whole, em._run_restarts(d, cfg, "random_soft", floor, seeds)):
             assert (a.ll_trace == b.ll_trace).all() and (a.tau.tau == b.tau.tau).all()
             for name in ("pi", "beta", "sigma2"):
