@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -180,6 +179,8 @@ def iter_records(spec: BenchmarkSpec, jobs: int = 1) -> Iterator[dict]:
         for task in tasks:
             yield _replicate(task)
         return
+    from concurrent.futures import ProcessPoolExecutor  # here, so `import gmr.cli` loads no multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(tasks) // (jobs * 4))
         yield from pool.map(_replicate, tasks, chunksize=chunk)

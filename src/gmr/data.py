@@ -303,6 +303,17 @@ def validate_dataset(d: GroupedDataset) -> None:
     object.__setattr__(d, "_valid", True)
 
 
+def _inherit_validity(source: GroupedDataset, *parts: GroupedDataset) -> None:
+    """Remember a pass of `validate_dataset` on each of ``parts`` when ``source`` has passed.
+
+    Only for parts that hold every group of ``source``, in order, each with
+    some of its rows: such a part is valid whenever ``source`` is.
+    """
+    if getattr(source, "_valid", False):
+        for part in parts:
+            object.__setattr__(part, "_valid", True)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Mixture parameters: weights pi, coefficients beta, noise variances sigma2.

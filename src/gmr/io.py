@@ -21,7 +21,10 @@ written as the shortest round-trip ``float.__repr__``, and it quotes ids as
 One writer serves `write_dataset_csv` and ``simulate --split``: it formats
 each group's rows once and sends each line to every file whose row mask
 holds it, so the dataset and both halves of its split are written in one
-pass.
+pass.  Both bulk writers cut their rows into contiguous runs of groups.  An
+output of `POOL_CELLS` float cells or more is formatted in worker processes
+forked one per CPU, on Linux with two or more CPUs; the parent writes the
+runs in order, so the bytes do not change.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import warnings
 from contextlib import ExitStack
 from io import StringIO
-from itertools import compress
+from itertools import compress, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +64,15 @@ _PREDICTION_COLUMNS = ["group", "y_true", "y_pred", "log_density", "used_fallbac
 
 # Whitespace that numpy's float parser strips from a cell and ``float()`` does not.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# Bytes per read of the scan for that whitespace: a buffer large enough to be
+# mapped on its own (see `cli._c_allocator`), so it leaves no hole in the heap.
+_SCAN_BYTES = 1 << 20
+
+# Outputs of fewer float cells are formatted in this process: a pool would
+# cost more to start than it saves on them.
+POOL_CELLS = 1 << 16
+# Float cells in one run of rows that a worker formats, about 1 MB of text.
+RUN_CELLS = 1 << 16
 
 
 class FormatError(GmrError, ValueError):
@@ -81,29 +94,40 @@ def _flag(text: str, where: str) -> bool:
 
 
 def _bulk_rows(fh, fields):
-    """Parse the rest of ``fh`` in one C-level call; None leaves it to the cold path.
+    """Parse the rest of ``fh`` in one C-level call: its ids and table, or None for the cold path.
 
-    The rows of one group share one id string, not one string per row each.
+    The file ``fh.name`` is scanned first: one holding whitespace that only
+    numpy's parser strips goes to the cold path.  The ids are listed in order
+    of first appearance, and the table's first field holds each row's index
+    into that list.
     """
-    ids = {}
+    if _holds_loadtxt_only_space(fh.name):
+        return None
+    index = {}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file without data rows
-            return np.loadtxt(
-                _checked_lines(fh), dtype=np.dtype(fields), delimiter=",",
+            table = np.loadtxt(
+                fh, dtype=np.dtype(fields), delimiter=",",
                 comments=None, quotechar='"', ndmin=1,
-                converters={0: lambda cell: ids.setdefault(cell, cell)},
+                converters={0: lambda cell: index.setdefault(cell, len(index))},
             )
     except ValueError:  # also a UnicodeDecodeError, which the cold path re-raises
         return None
+    return list(index), table
 
 
-def _checked_lines(fh):
-    """Yield the lines of ``fh``; raise ValueError at whitespace only numpy's parser strips."""
-    for line in fh:
-        if any(c in line for c in _LOADTXT_ONLY_SPACE):
-            raise ValueError("a cell float() may reject")
-        yield line
+def _holds_loadtxt_only_space(path) -> bool:
+    """Whether the file holds a byte of `_LOADTXT_ONLY_SPACE`, read `_SCAN_BYTES` at a time.
+
+    Each is one byte in UTF-8, and no other character's encoding holds it.
+    """
+    buf = bytearray(_SCAN_BYTES)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            if any(buf.find(c, 0, n) >= 0 for c in _LOADTXT_ONLY_SPACE.encode()):
+                return True
+    return False
 
 
 def _cold_records(path: Path):
@@ -117,11 +141,13 @@ def _cold_records(path: Path):
 
 
 def _read_rows(path: Path, header_ok, expected: str, flagged: bool = False):
-    """Ids, values (rows, m) and flags (or None) of the rows ``id,v1,...,vm[,flag]``.
+    """Ids, codes, values (rows, m) and flags (or None) of the rows ``id,v1,...,vm[,flag]``.
 
-    The header must satisfy ``header_ok``; m is its width less the id and flag
-    columns.  The bulk parse takes flags written exactly ``0`` or ``1``.  A
-    file that is not UTF-8 text, or that `csv` cannot read, raises `FormatError`.
+    The ids are listed in order of first appearance, and row i's id is
+    ``ids[codes[i]]``.  The header must satisfy ``header_ok``; m is its width
+    less the id and flag columns.  The bulk parse takes flags written exactly
+    ``0`` or ``1``.  A file that is not UTF-8 text, or that `csv` cannot read,
+    raises `FormatError`.
     """
     try:
         with path.open(newline="") as fh:
@@ -130,53 +156,51 @@ def _read_rows(path: Path, header_ok, expected: str, flagged: bool = False):
                 raise FormatError(f"{path}: expected header {expected}, got {header!r}")
             width = len(header)
             m = width - 1 - flagged
-            fields = [("group", object), ("values", float, (m,))] + [("flag", object)] * flagged
-            table = _bulk_rows(fh, fields)
-        if table is not None:
+            fields = [("group", np.intp), ("values", float, (m,))] + [("flag", object)] * flagged
+            bulk = _bulk_rows(fh, fields)
+        if bulk is not None:
+            ids, table = bulk
             if not flagged:
-                return table["group"], table["values"], None
+                return ids, table["group"], table["values"], None
             flags = table["flag"]
             used = flags == "1"
             if (used | (flags == "0")).all():  # ``int()`` reads other spellings below
-                return table["group"].copy(), table["values"], used
-        ids, values, flags = [], [], []
+                return ids, table["group"], table["values"], used
+        index, codes, values, flags = {}, [], [], []
         for lineno, row in _cold_records(path):
             where = f"{path}:{lineno}"
             if len(row) != width:
                 raise FormatError(f"{where}: expected {width} columns, got {len(row)}")
-            ids.append(row[0])
+            codes.append(index.setdefault(row[0], len(index)))
             values.append([_float(cell, where) for cell in row[1 : m + 1]])
             if flagged:
                 flags.append(_flag(row[-1], where))
         flags = np.array(flags, dtype=bool) if flagged else None
-        return np.array(ids, dtype=object), np.array(values).reshape(-1, m), flags
+        return list(index), np.array(codes, dtype=np.intp), np.array(values).reshape(-1, m), flags
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
     except csv.Error as exc:  # a field over `csv.field_size_limit`, say
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _grouped(ids: np.ndarray, values: np.ndarray) -> GroupedDataset:
-    """Rows ``[y, x...]`` grouped by id: groups by first appearance, rows in file order."""
-    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    group_of_row = np.argsort(order)[inverse]  # the inverse permutation of order, per row
-    bounds = np.cumsum(np.bincount(group_of_row, minlength=order.size))[:-1]
-    rows = np.split(np.argsort(group_of_row, kind="stable"), bounds)  # each group's row numbers
+def _grouped(ids: list, codes: np.ndarray, values: np.ndarray) -> GroupedDataset:
+    """Rows ``[y, x...]`` grouped by the codes of `_read_rows`: groups as ``ids``, rows in file order."""
+    bounds = np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1]
+    rows = np.split(np.argsort(codes, kind="stable"), bounds)  # each group's row numbers
     return GroupedDataset(
         tuple(
             Group(id=gid, responses=values[idx, 0], features=values[idx, 1:])
-            for gid, idx in zip(unique[order].tolist(), rows)
+            for gid, idx in zip(ids, rows)
         )
     )
 
 
 def read_dataset_csv(path) -> GroupedDataset:
     """Read a ``group,y,x1,...,xp`` CSV; groups ordered by first appearance."""
-    ids, values, _ = _read_rows(
+    ids, codes, values, _ = _read_rows(
         Path(path), lambda h: len(h) >= 3 and h[:2] == ["group", "y"], "'group,y,x1,...,xp'"
     )
-    return _grouped(ids, values)
+    return _grouped(ids, codes, values)
 
 
 def _csv_field(value) -> str:
@@ -198,6 +222,94 @@ def _csv_lines(prefix: str, values, suffix: str) -> list[str]:
     return [f"{prefix}{row}{suffix}\n" for row in cells.split("],[")]
 
 
+def _runs(cells) -> list[range]:
+    """Contiguous ranges of items, cut where the sum of ``cells`` passes a multiple of `RUN_CELLS`."""
+    bounds = np.flatnonzero(np.diff(np.cumsum(cells) // RUN_CELLS)) + 1
+    return [range(a, b) for a, b in pairwise([0, *bounds.tolist(), len(cells)])]
+
+
+def _pool_size(cells: int) -> int:
+    """Worker processes to format an output of ``cells`` float cells; 1 formats it here.
+
+    One per CPU this process may run on, for an output of `POOL_CELLS` cells
+    or more, on Linux (``fork`` and ``os.splice``) and outside a daemonic
+    process, which may not start processes of its own.
+    """
+    if cells < POOL_CELLS or not hasattr(os, "splice") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else len(os.sched_getaffinity(0))
+
+
+def _format_to_pipe(format_run, runs, encodings, fd) -> None:
+    """A worker: each run's texts, encoded as their files, to the pipe ``fd``, each after its length."""
+    with open(fd, "wb") as pipe:
+        for run in runs:
+            for text, (encoding, errors) in zip(format_run(run), encodings):
+                data = text.encode(encoding, errors)
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+
+
+def _splice_text(pipe: int, fd: int) -> None:
+    """Move one text that `_format_to_pipe` wrote from ``pipe`` to the file ``fd``."""
+    head = b""
+    while len(head) < 8 and (part := os.read(pipe, 8 - len(head))):
+        head += part
+    left = int.from_bytes(head, "little") if len(head) == 8 else -1
+    while left > 0 and (n := os.splice(pipe, fd, left)):
+        left -= n
+    if left:
+        raise RuntimeError("a CSV formatting worker ended before its last run")
+
+
+def _write_runs(files, format_run, cells) -> None:
+    """Write ``format_run(items)``, one text per file of ``files``, for every item in order.
+
+    ``cells[i]`` counts item i's float cells.  Formatted here, each item is
+    formatted and written alone.  With more than one worker (`_pool_size`),
+    the items are cut into `_runs`, and forked workers take turns at them:
+    each formats one run at a time and writes it to its own pipe, which this
+    process moves into the files in order with ``os.splice``, so no run's
+    text passes through this process's memory.  The workers are ended and
+    joined on every path.
+    """
+    workers = _pool_size(int(np.sum(cells)))
+    if workers < 2:
+        for i in range(len(cells)):
+            for fh, text in zip(files, format_run(range(i, i + 1))):
+                fh.write(text)
+        return
+    import multiprocessing
+
+    runs = _runs(cells)
+    encodings = [(fh.encoding, fh.errors) for fh in files]
+    for fh in files:
+        fh.flush()  # the header; the runs go to the file descriptors
+    procs, pipes = [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:  # a worker holds no other worker's write end, so its exit reads as EOF
+                procs.append(multiprocessing.get_context("fork").Process(
+                    target=_format_to_pipe, args=(format_run, runs[w::workers], encodings, write_end)
+                ))
+                procs[-1].start()
+            finally:
+                os.close(write_end)
+        for i in range(len(runs)):
+            for fh in files:
+                _splice_text(pipes[i % workers], fh.fileno())
+    finally:  # a worker still running has failed this process, or has only its exit left
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for read_end in pipes:
+            os.close(read_end)
+
+
 def write_dataset_csv(d: GroupedDataset, path) -> None:
     _write_dataset_csvs(d, [(path, None)])
 
@@ -211,16 +323,23 @@ def _write_dataset_csvs(d: GroupedDataset, outputs) -> None:
     """
     header = ",".join(["group", "y"] + [f"x{j + 1}" for j in range(d.p)]) + "\n"
     with ExitStack() as stack:
-        files = []
+        files, masks = [], []
         for path, rows in outputs:
-            fh = stack.enter_context(Path(path).open("w", newline=""))
-            fh.write(header)
-            files.append((fh, None if rows is None else np.split(rows, d.offsets[1:])))
-        for r, g in enumerate(d.groups):
-            values = np.column_stack([g.responses, g.features])
-            lines = _csv_lines(_csv_field(g.id) + ",", values, "")
-            for fh, masks in files:
-                fh.write("".join(lines if masks is None else compress(lines, masks[r])))
+            files.append(stack.enter_context(Path(path).open("w", newline="")))
+            files[-1].write(header)
+            masks.append(None if rows is None else np.split(rows, d.offsets[1:]))
+
+        def format_run(groups):
+            texts = [[] for _ in files]
+            for r in groups:
+                g = d.groups[r]
+                values = np.column_stack([g.responses, g.features])
+                lines = _csv_lines(_csv_field(g.id) + ",", values, "")
+                for text, mask in zip(texts, masks):
+                    text.extend(lines if mask is None else compress(lines, mask[r]))
+            return ["".join(text) for text in texts]
+
+        _write_runs(files, format_run, d.n_r * (d.p + 1))
 
 
 def write_model_json(result: FitResult, path) -> None:
@@ -337,22 +456,31 @@ def write_predictions_csv(preds: GroupPredictions, path) -> None:
     values = np.column_stack([preds.y_true, preds.y_pred, preds.log_density])
     # One block of lines per run of rows that share a group and a fallback flag.
     new_run = (group[1:] != group[:-1]) | (fallback[1:] != fallback[:-1])
-    bounds = [0, *(np.flatnonzero(new_run) + 1).tolist(), len(group)] if len(group) else []
+    bounds = [0, *(np.flatnonzero(new_run) + 1).tolist(), len(group)] if len(group) else [0]
+
+    def format_run(blocks):
+        return ["".join(
+            line
+            for b in blocks
+            for line in _csv_lines(
+                _csv_field(group[bounds[b]]) + ",", values[bounds[b] : bounds[b + 1]],
+                f",{int(fallback[bounds[b]])}",
+            )
+        )]
+
     with path.open("w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(_PREDICTION_COLUMNS)
-        for start, stop in zip(bounds, bounds[1:]):
-            prefix = _csv_field(group[start]) + ","
-            fh.write("".join(_csv_lines(prefix, values[start:stop], f",{int(fallback[start])}")))
+        _write_runs([fh], format_run, 3 * np.diff(bounds))
 
 
 def read_predictions_csv(path) -> dict[str, np.ndarray]:
     """Read a predictions CSV back into column arrays."""
-    group, values, used_fallback = _read_rows(
+    ids, codes, values, used_fallback = _read_rows(
         Path(path), lambda h: h == _PREDICTION_COLUMNS, str(_PREDICTION_COLUMNS), flagged=True
     )
     y_true, y_pred, log_density = np.array(values.T)
     return {
-        "group": group,
+        "group": np.array(ids, dtype=object)[codes],
         "y_true": y_true,
         "y_pred": y_pred,
         "log_density": log_density,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import GroupedDataset, Responsibilities, compute_group_stats
+from .data import GroupedDataset, Responsibilities, compute_group_stats, validate_dataset
 from .em import EmConfig, fit, m_step_beta
 from .metrics import rmse
 from .predict import predict_groups
@@ -100,7 +100,8 @@ def select_k(
     Raises
     ------
     GroupTooSmallError
-        If some group cannot be split.
+        If some group cannot be split.  ``d`` is validated first, once; its
+        splits inherit the pass (see `validate_dataset` for the errors).
     """
     k_grid = tuple(sorted(set(int(k) for k in k_grid)))
     if not k_grid:
@@ -110,6 +111,7 @@ def select_k(
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     template = cfg if cfg is not None else EmConfig(K=1)
+    validate_dataset(d)
 
     scores: dict[int, list[float]] = {k: [] for k in (0, 1) + k_grid}
     rep_seeds = np.random.SeedSequence(seed).spawn(n_reps)

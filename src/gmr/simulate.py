@@ -17,7 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import Group, GroupedDataset, _check_fields, _check_integer, _check_real, _check_seed, _readonly
+from .data import (
+    Group,
+    GroupedDataset,
+    _check_fields,
+    _check_integer,
+    _check_real,
+    _check_seed,
+    _inherit_validity,
+    _readonly,
+)
 from .errors import GroupTooSmallError, InfeasibleError, TooManyGroupsError
 
 __all__ = [
@@ -263,7 +272,8 @@ def train_test_split(
     The per-group test size is ``round(test_frac * n_r)`` clamped to
     ``[1, n_r - 1]``, so both halves keep every group id (in the original
     order) and every group's rows in their original order.  Requires every
-    group to have at least 2 observations.
+    group to have at least 2 observations.  Both halves of a validated
+    dataset are valid by construction and are not scanned again.
     """
     held = _test_rows(d, test_frac, seed)
     train_groups: list[Group] = []
@@ -271,4 +281,6 @@ def train_test_split(
     for g, test in zip(d.groups, np.split(held, d.offsets[1:])):
         train_groups.append(Group(g.id, g.responses[~test], g.features[~test]))
         test_groups.append(Group(g.id, g.responses[test], g.features[test]))
-    return GroupedDataset(tuple(train_groups)), GroupedDataset(tuple(test_groups))
+    train, test = GroupedDataset(tuple(train_groups)), GroupedDataset(tuple(test_groups))
+    _inherit_validity(d, train, test)
+    return train, test

@@ -89,6 +89,20 @@ def test_the_package_exports_exactly_its_modules_public_names():
     assert len(declared) == len(set(declared)), "a name is public in two modules"
 
 
+def test_importing_the_cli_loads_no_multiprocessing():
+    # The CSV writers and `benchmark --jobs` import it when they start workers.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "import gmr.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_importing_the_package_loads_no_io_cli_or_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}

@@ -608,3 +608,177 @@ def test_files_csv_or_json_cannot_parse_raise_format_error_naming_the_file(sim):
     for read in (read_model_json, read_truth_json):
         with pytest.raises(FormatError, match=f"^{re.escape(str(deep))}: invalid JSON"):
             read(deep)
+
+
+# The bulk writers' worker pool.  A desk dataset is far below `POOL_CELLS`, so
+# these tests lower it; a small `RUN_CELLS` cuts the rows into many runs.
+
+
+def _desk_outputs():
+    """A dataset whose ids need quoting, its split masks and predictions with fallback runs."""
+    from gmr import Group, GroupedDataset
+    from gmr.predict import GroupPredictions
+    from gmr.simulate import _test_rows
+
+    d, _ = generate(SimConfig(n=140, K=2, p=2, G=7, sigma=1.0, delta_beta=6.0, seed=3))
+    ids = ODD_IDS + ["a\rb", "\r"] + [f"g{r}" for r in range(d.R)]
+    d = GroupedDataset(tuple(Group(ids[r], g.responses, g.features) for r, g in enumerate(d.groups)))
+    test_rows = _test_rows(d, 0.3, seed=1)
+    rng = np.random.default_rng(0)
+    group = np.repeat(ids[: d.R], d.n_r)
+    preds = GroupPredictions(
+        group=tuple(group),
+        y_true=rng.normal(size=d.n),
+        y_pred=rng.normal(size=d.n) * 1e-300,
+        log_density=rng.normal(size=d.n) * 1e300,
+        used_fallback=rng.random(d.n) < 0.3,
+    )
+    return d, test_rows, preds
+
+
+def _write_desk_outputs(out, d, test_rows, preds):
+    out.mkdir()
+    gmr.io._write_dataset_csvs(
+        d, [(out / "dataset.csv", None), (out / "train.csv", ~test_rows), (out / "test.csv", test_rows)]
+    )
+    write_predictions_csv(preds, out / "preds.csv")
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _write_in_a_pool_worker(out):
+    """Run in a daemonic pool worker: the worker count it gets, and the outputs it writes."""
+    return gmr.io._pool_size(gmr.io.POOL_CELLS), _write_desk_outputs(out, *_desk_outputs())
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Pool every output and count the worker processes started."""
+    import multiprocessing.process
+
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start(proc):
+        started.append(proc)
+        real_start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    monkeypatch.setattr(gmr.io, "POOL_CELLS", 0)
+    monkeypatch.setattr(gmr.io, "RUN_CELLS", 48)
+    return started
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(__import__("os"), "splice") and hasattr(__import__("os"), "sched_getaffinity")),
+    reason="the writers pool only on Linux",
+)
+
+
+@needs_fork
+def test_pooled_writers_write_the_serial_bytes(tmp_path, monkeypatch, forking):
+    import multiprocessing
+    import os
+
+    outputs = _desk_outputs()
+    with monkeypatch.context() as m:
+        m.setattr(gmr.io, "POOL_CELLS", 1 << 60)
+        serial = _write_desk_outputs(tmp_path / "serial", *outputs)
+    assert not forking
+    m = monkeypatch
+    m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # three workers take turns
+    pooled = _write_desk_outputs(tmp_path / "pooled", *outputs)
+    assert len(forking) == 3 + 3  # three workers for the dataset files, three for the predictions
+    assert len(gmr.io._runs(outputs[0].n_r * 3)) > 3
+    assert pooled == serial
+    assert serial["dataset.csv"].startswith(b'group,y,x1,x2\n,')
+    assert b'\n"a,b",' in serial["dataset.csv"] and b'\n"a\rb",' in serial["preds.csv"]
+    assert multiprocessing.active_children() == []
+    back = read_dataset_csv(tmp_path / "pooled" / "dataset.csv")
+    assert back.group_ids == outputs[0].group_ids
+
+
+@needs_fork
+def test_writers_stay_serial_on_one_cpu(tmp_path, monkeypatch, forking):
+    import os
+
+    outputs = _desk_outputs()
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu = _write_desk_outputs(tmp_path / "one", *outputs)
+    assert not forking
+    assert _write_desk_outputs(tmp_path / "two", *outputs) == one_cpu
+    assert forking
+
+
+@needs_fork
+def test_writers_stay_serial_in_a_daemonic_worker(tmp_path, forking):
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(1) as pool:  # its workers are daemonic
+        workers, written = pool.apply(_write_in_a_pool_worker, (tmp_path / "daemon",))
+        pool.close()
+        pool.join()
+    assert workers == 1
+    assert written == _write_desk_outputs(tmp_path / "here", *_desk_outputs())
+    assert forking  # here the same outputs were pooled
+
+
+@needs_fork
+def test_no_worker_outlives_a_write_that_fails(tmp_path, monkeypatch, forking):
+    import errno
+    import multiprocessing
+    import os
+
+    from gmr.cli import main
+
+    moved = []
+
+    def splice(src, dst, count):
+        if len(moved) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        moved.append(count)
+        return os_splice(src, dst, count)
+
+    os_splice = os.splice
+    monkeypatch.setattr(os, "splice", splice)
+    with pytest.raises(OSError, match="No space left"):
+        _write_desk_outputs(tmp_path / "lib", *_desk_outputs())
+    assert forking and multiprocessing.active_children() == []
+    moved.clear()
+    argv = ["simulate", "--n", "100", "--K", "2", "--p", "1", "--G", "5", "--sigma", "1",
+            "--delta-beta", "4", "--seed", "0", "--split", "0.2", "--out", str(tmp_path / "cli")]
+    assert main(argv) == 1
+    assert multiprocessing.active_children() == []
+
+
+# The bulk reader's scan for whitespace only numpy's float parser strips.
+
+
+def test_loadtxt_only_space_past_the_first_scan_chunk_takes_the_cold_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(gmr.io, "_SCAN_BYTES", 16)
+    rows = "".join(f"g{i % 3},{i}.5,{-i}.25\n" for i in range(40))
+    real_bulk_rows, parsed = gmr.io._bulk_rows, []
+
+    def spy(fh, fields):
+        table = real_bulk_rows(fh, fields)
+        parsed.append(table is not None)
+        return table
+
+    monkeypatch.setattr(gmr.io, "_bulk_rows", spy)
+    for c in "\x1c\x1d\x1e\x1f":
+        bad = _csv_file(tmp_path, "group,y,x1\n" + rows + f"g1,{c}2.0,1.0\n")
+        with pytest.raises(FormatError, match=re.escape(f"data.csv:42: {c + '2.0'!r} is not a number")):
+            read_dataset_csv(bad)
+        odd_id = _csv_file(tmp_path, "group,y,x1\n" + rows + f"g{c},2.0,1.0\n", "id.csv")
+        d = read_dataset_csv(odd_id)
+        assert d.group_ids == ("g0", "g1", "g2", f"g{c}")
+        assert d.groups[3].responses.tolist() == [2.0]
+    assert parsed == [False] * 8
+    assert len(rows) > 10 * gmr.io._SCAN_BYTES
+
+    good = _csv_file(tmp_path, "group,y,x1\n" + rows + '"a\nb",2.0,1.0\n"c\r\nd",3.0,0.5\n', "nl.csv")
+    bulk = _read_outcome(read_dataset_csv, good)
+    assert parsed[-1] is True  # the quoted newlines went through the bulk parse
+    monkeypatch.setattr(gmr.io, "_bulk_rows", lambda fh, fields: None)
+    assert _read_outcome(read_dataset_csv, good) == bulk
+    assert read_dataset_csv(good).group_ids == ("g0", "g1", "g2", "a\nb", "c\r\nd")

@@ -8,6 +8,7 @@ from gmr import (
     EmConfig,
     Group,
     GroupedDataset,
+    NonFiniteError,
     SimConfig,
     baseline_mean,
     baseline_ols,
@@ -17,6 +18,7 @@ from gmr import (
     rmse,
     select_k,
     train_test_split,
+    validate_dataset,
 )
 
 
@@ -129,12 +131,12 @@ def test_select_k_rejects_bad_grid():
         select_k(d, [2], n_reps=0, seed=0)
 
 
-def test_select_k_scans_each_split_once(monkeypatch):
-    # Every fit and baseline_ols validates its training split, and every
-    # prediction its test split.  A split's groups are scanned by the first
-    # of these calls only; the later ones find the pass remembered.
+def test_select_k_scans_its_dataset_once_and_no_split(monkeypatch):
+    # select_k validates its dataset up front, and each split inherits the
+    # pass: every fit, baseline_ols and prediction finds it remembered.
     import gmr.data
     import gmr.predict
+    import gmr.select
 
     calls, scans = [], []
     real = gmr.data.validate_dataset
@@ -145,9 +147,26 @@ def test_select_k_scans_each_split_once(monkeypatch):
             scans.append(d)
         real(d)
 
-    monkeypatch.setattr(gmr.data, "validate_dataset", counting)
-    monkeypatch.setattr(gmr.predict, "validate_dataset", counting)
+    for module in (gmr.data, gmr.predict, gmr.select):
+        monkeypatch.setattr(module, "validate_dataset", counting)
     d, _ = generate(SimConfig(n=600, K=2, p=2, G=10, sigma=1.0, delta_beta=6.0, seed=0))
     select_k(d, [2, 3], EmConfig(K=1, n_restarts=2), n_reps=2, seed=0)
-    assert len(calls) == 2 * (3 + 2)  # per rep: baseline_ols and two fits, two predictions
-    assert len(scans) == len({id(s) for s in scans}) == 2 * 2  # each rep's two splits
+    assert len(calls) == 1 + 2 * (3 + 2)  # d; per rep: baseline_ols and two fits, two predictions
+    assert scans == [d]
+
+
+def test_a_split_inherits_validity_and_an_invalid_one_is_still_refused():
+    y = np.arange(8.0)
+    d = make_dataset([(y, np.ones((8, 1))), (y + 1.0, np.ones((8, 1)))])
+    validate_dataset(d)
+    assert all(half._valid for half in train_test_split(d, 0.5, seed=0))
+
+    y[1] = np.nan  # a new dataset, never validated
+    d = make_dataset([(y, np.ones((8, 1))), (y + 1.0, np.ones((8, 1)))])
+    halves = train_test_split(d, 0.5, seed=0)
+    assert not any(getattr(half, "_valid", False) for half in halves)
+    (bad,) = [h for h in halves if np.isnan(h.groups[0].responses).any()]
+    with pytest.raises(NonFiniteError, match="contains NaN"):
+        validate_dataset(bad)
+    with pytest.raises(NonFiniteError, match="contains NaN"):
+        select_k(d, [2], EmConfig(K=1, n_restarts=1), n_reps=1, seed=0)
