@@ -5,11 +5,13 @@ orders, insertion-ordered JSON objects, shortest round-trip float formatting
 and a bare ``\\n`` line terminator.
 
 Dataset and prediction CSVs go through one bulk codec.  A reader checks the
-header with `csv`, parses all data rows in one `numpy.loadtxt` call (ids
-quoted as RFC 4180 says, blank lines skipped, every row exactly as wide as
-the header) and gathers each group's rows out of the one parsed array.
-Where that call raises, or where numpy's float parser would accept a cell that
-``float()`` rejects, the file takes the cold path instead: the cell-by-cell
+header with `csv`, parses all data rows in one `numpy.loadtxt` call on the
+open file (ids quoted as RFC 4180 says, blank lines skipped, every row
+exactly as wide as the header, each id read as its index in order of first
+appearance) and gathers each group's rows out of the one parsed array.
+Where that call raises, or where a scan of the file finds whitespace that
+numpy's float parser strips and ``float()`` rejects, the file takes the cold
+path instead: the cell-by-cell
 `csv.reader` loop that defines the format.  It accepts what ``float()``
 accepts and raises the `FormatError` naming the first offending
 ``file:line``, where lines count CSV records and the header is line 1.  So
@@ -21,10 +23,10 @@ written as the shortest round-trip ``float.__repr__``, and it quotes ids as
 One writer serves `write_dataset_csv` and ``simulate --split``: it formats
 each group's rows once and sends each line to every file whose row mask
 holds it, so the dataset and both halves of its split are written in one
-pass.  Both bulk writers cut their rows into contiguous runs of groups.  An
-output of `POOL_CELLS` float cells or more is formatted in worker processes
-forked one per CPU, on Linux with two or more CPUs; the parent writes the
-runs in order, so the bytes do not change.
+pass.  A large output (`POOL_CELLS` float cells or more) is formatted in
+worker processes, forked one per CPU on Linux with two or more CPUs: they
+take turns at contiguous runs of groups, and the parent moves each run's
+text into the files in order, so the bytes do not change.
 """
 
 from __future__ import annotations

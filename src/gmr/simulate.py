@@ -18,13 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import (
-    Group,
-    GroupedDataset,
-    _check_fields,
-    _check_integer,
-    _check_real,
-    _check_seed,
-    _inherit_validity,
+    Group, GroupedDataset, _check_fields, _check_integer, _check_real, _check_seed, _inherit_validity,
     _readonly,
 )
 from .errors import GroupTooSmallError, InfeasibleError, TooManyGroupsError
