@@ -461,14 +461,12 @@ def write_predictions_csv(preds: GroupPredictions, path) -> None:
     bounds = [0, *(np.flatnonzero(new_run) + 1).tolist(), len(group)] if len(group) else [0]
 
     def format_run(blocks):
-        return ["".join(
-            line
-            for b in blocks
-            for line in _csv_lines(
-                _csv_field(group[bounds[b]]) + ",", values[bounds[b] : bounds[b + 1]],
-                f",{int(fallback[bounds[b]])}",
-            )
-        )]
+        lines = []
+        for b in blocks:
+            start, stop = bounds[b], bounds[b + 1]
+            prefix = _csv_field(group[start]) + ","
+            lines += _csv_lines(prefix, values[start:stop], f",{int(fallback[start])}")
+        return ["".join(lines)]
 
     with path.open("w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(_PREDICTION_COLUMNS)
