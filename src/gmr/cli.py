@@ -34,7 +34,7 @@ from .data import _from_dict
 from .em import EmConfig, InitStrategy, fit
 from .errors import GmrError, NonFiniteError
 from .metrics import rmse
-from .predict import predict_groups
+from .predict import _holdout_rmse, predict_groups
 from .select import select_k
 from .simulate import SimConfig, _test_rows, generate
 
@@ -223,9 +223,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.truth:
             record.update(bench._label_scores(model, io.read_truth_json(args.truth)[0]))
         if args.train:
-            record["rmse_train"] = bench._holdout_rmse(model, io.read_dataset_csv(args.train))
+            record["rmse_train"] = _holdout_rmse(model, io.read_dataset_csv(args.train))
         if args.test:
-            record["rmse_test"] = bench._holdout_rmse(model, io.read_dataset_csv(args.test))
+            record["rmse_test"] = _holdout_rmse(model, io.read_dataset_csv(args.test))
     if args.predictions is not None:
         cols = io.read_predictions_csv(args.predictions)
         if not cols["y_true"].size:
@@ -236,7 +236,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         record["rmse_test"] = rmse(cols["y_true"], cols["y_pred"])
     line = json.dumps(record)
     if out:
-        out.write_text(line + "\n")
+        out.write_text(line + "\n", encoding="utf-8")
     else:
         print(line)
     return 0
@@ -265,7 +265,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     out, csv_path = _report_paths(args.out, args.spec)
     spec = _config(bench.BenchmarkSpec, args, args.spec)
     records = []
-    with out.open("w") as fh:
+    with out.open("w", encoding="utf-8") as fh:
         for record in bench.iter_records(spec, jobs=args.jobs):
             fh.write(json.dumps(record) + "\n")
             records.append(record)

@@ -4,29 +4,33 @@ All writers produce byte-stable output for identical inputs: fixed column
 orders, insertion-ordered JSON objects, shortest round-trip float formatting
 and a bare ``\\n`` line terminator.
 
+Every file is read and written as UTF-8, whatever the locale.
+
 Dataset and prediction CSVs go through one bulk codec.  A reader checks the
 header with `csv`, parses all data rows in one `numpy.loadtxt` call on the
 open file (ids quoted as RFC 4180 says, blank lines skipped, every row
 exactly as wide as the header, each id read as its index in order of first
-appearance) and gathers each group's rows out of the one parsed array.
-Where that call raises, or where a scan of the file finds whitespace that
-numpy's float parser strips and ``float()`` rejects, the file takes the cold
-path instead: the cell-by-cell
-`csv.reader` loop that defines the format.  It accepts what ``float()``
-accepts and raises the `FormatError` naming the first offending
+appearance, a predictions flag as an integer) and gathers each group's rows
+out of the one parsed array.  Where that call raises, or where a scan of the
+file finds whitespace that numpy's parsers strip and ``float()`` and
+``int()`` reject, the file takes the cold path instead: the cell-by-cell
+`csv.reader` loop that defines the format.  It accepts what ``float()`` and
+``int()`` accept and raises the `FormatError` naming the first offending
 ``file:line``, where lines count CSV records and the header is line 1.  So
 both paths accept the same files and read the same values.  A writer formats
 each run of rows with one ``repr`` of its nested list, so every float is
 written as the shortest round-trip ``float.__repr__``, and it quotes ids as
 `csv.writer` does, with a bare ``\\r`` quoted too.
 
-One writer serves `write_dataset_csv` and ``simulate --split``: it formats
-each group's rows once and sends each line to every file whose row mask
-holds it, so the dataset and both halves of its split are written in one
-pass.  A large output (`POOL_CELLS` float cells or more) is formatted in
-worker processes, forked one per CPU on Linux with two or more CPUs: they
-take turns at contiguous runs of groups, and the parent moves each run's
-text into the files in order, so the bytes do not change.
+Both CSV writers hand their items (groups, or blocks of prediction rows) to
+one run loop, `_write_runs`.  It cuts the items into contiguous runs of
+about `RUN_CELLS` float cells and formats each run once, sending each line
+to every file whose row mask holds it, so `write_dataset_csv` and
+``simulate --split`` write the dataset and both halves of its split in one
+pass.  An output of more than one run is formatted in worker processes,
+forked one per CPU on Linux with two or more CPUs: they take turns at the
+runs, and the parent moves each run's text into the files in order, so the
+bytes do not change.
 """
 
 from __future__ import annotations
@@ -64,16 +68,14 @@ __all__ = [
 
 _PREDICTION_COLUMNS = ["group", "y_true", "y_pred", "log_density", "used_fallback"]
 
-# Whitespace that numpy's float parser strips from a cell and ``float()`` does not.
+# Whitespace that numpy's parsers strip from a cell and ``float()`` and ``int()`` do not.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # Bytes per read of the scan for that whitespace: a buffer large enough to be
 # mapped on its own (see `cli._c_allocator`), so it leaves no hole in the heap.
 _SCAN_BYTES = 1 << 20
 
-# Outputs of fewer float cells are formatted in this process: a pool would
-# cost more to start than it saves on them.
-POOL_CELLS = 1 << 16
-# Float cells in one run of rows that a worker formats, about 1 MB of text.
+# Float cells in one run of rows, about 1 MB of text.  An output of one run is
+# formatted in this process: a pool would cost more to start than it saves.
 RUN_CELLS = 1 << 16
 
 
@@ -134,7 +136,7 @@ def _holds_loadtxt_only_space(path) -> bool:
 
 def _cold_records(path: Path):
     """Yield ``(line, row)`` for each non-blank record after the header, via `csv`."""
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for lineno, row in enumerate(reader, start=2):
@@ -147,27 +149,22 @@ def _read_rows(path: Path, header_ok, expected: str, flagged: bool = False):
 
     The ids are listed in order of first appearance, and row i's id is
     ``ids[codes[i]]``.  The header must satisfy ``header_ok``; m is its width
-    less the id and flag columns.  The bulk parse takes flags written exactly
-    ``0`` or ``1``.  A file that is not UTF-8 text, or that `csv` cannot read,
-    raises `FormatError`.
+    less the id and flag columns.  A flag is an integer, true where it is not
+    0.  A file that is not UTF-8 text, or that `csv` cannot read, raises
+    `FormatError`.
     """
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
             if header is None or not header_ok(header):
                 raise FormatError(f"{path}: expected header {expected}, got {header!r}")
             width = len(header)
             m = width - 1 - flagged
-            fields = [("group", np.intp), ("values", float, (m,))] + [("flag", object)] * flagged
+            fields = [("group", np.intp), ("values", float, (m,))] + [("flag", np.int64)] * flagged
             bulk = _bulk_rows(fh, fields)
         if bulk is not None:
             ids, table = bulk
-            if not flagged:
-                return ids, table["group"], table["values"], None
-            flags = table["flag"]
-            used = flags == "1"
-            if (used | (flags == "0")).all():  # ``int()`` reads other spellings below
-                return ids, table["group"], table["values"], used
+            return ids, table["group"], table["values"], table["flag"] != 0 if flagged else None
         index, codes, values, flags = {}, [], [], []
         for lineno, row in _cold_records(path):
             where = f"{path}:{lineno}"
@@ -230,26 +227,26 @@ def _runs(cells) -> list[range]:
     return [range(a, b) for a, b in pairwise([0, *bounds.tolist(), len(cells)])]
 
 
-def _pool_size(cells: int) -> int:
-    """Worker processes to format an output of ``cells`` float cells; 1 formats it here.
+def _pool_size(runs: int) -> int:
+    """Worker processes to format an output of ``runs`` runs; 1 formats it here.
 
-    One per CPU this process may run on, for an output of `POOL_CELLS` cells
-    or more, on Linux (``fork`` and ``os.splice``) and outside a daemonic
-    process, which may not start processes of its own.
+    One per CPU this process may run on, for an output of more than one run,
+    on Linux (``fork`` and ``os.splice``) and outside a daemonic process,
+    which may not start processes of its own.
     """
-    if cells < POOL_CELLS or not hasattr(os, "splice") or not hasattr(os, "sched_getaffinity"):
+    if runs < 2 or not hasattr(os, "splice") or not hasattr(os, "sched_getaffinity"):
         return 1
     import multiprocessing
 
     return 1 if multiprocessing.current_process().daemon else len(os.sched_getaffinity(0))
 
 
-def _format_to_pipe(format_run, runs, encodings, fd) -> None:
-    """A worker: each run's texts, encoded as their files, to the pipe ``fd``, each after its length."""
+def _format_to_pipe(run_texts, runs, fd) -> None:
+    """A worker: each run's texts, UTF-8, to the pipe ``fd``, each after its length."""
     with open(fd, "wb") as pipe:
         for run in runs:
-            for text, (encoding, errors) in zip(format_run(run), encodings):
-                data = text.encode(encoding, errors)
+            for text in run_texts(run):
+                data = text.encode("utf-8")
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
 
@@ -266,27 +263,38 @@ def _splice_text(pipe: int, fd: int) -> None:
         raise RuntimeError("a CSV formatting worker ended before its last run")
 
 
-def _write_runs(files, format_run, cells) -> None:
-    """Write ``format_run(items)``, one text per file of ``files``, for every item in order.
+def _write_runs(files, masks, item_lines, cells) -> None:
+    """Write the lines of every item, in order, to the UTF-8 text files ``files``.
 
-    ``cells[i]`` counts item i's float cells.  Formatted here, each item is
-    formatted and written alone.  With more than one worker (`_pool_size`),
-    the items are cut into `_runs`, and forked workers take turns at them:
+    ``item_lines(i)`` lists item i's lines and ``cells[i]`` counts its float
+    cells.  ``masks`` holds one entry per file: None for every line, or a
+    sequence whose i-th entry masks the lines of item i that the file takes.
+    The items are cut into `_runs`, and each run is formatted once, into one
+    text per file.  With one worker (`_pool_size`) this process formats and
+    writes the runs in turn.  With more, forked workers take turns at them:
     each formats one run at a time and writes it to its own pipe, which this
     process moves into the files in order with ``os.splice``, so no run's
     text passes through this process's memory.  The workers are ended and
     joined on every path.
     """
-    workers = _pool_size(int(np.sum(cells)))
+    runs = _runs(cells)
+
+    def run_texts(run):
+        texts = [[] for _ in files]
+        for i in run:
+            lines = item_lines(i)
+            for text, mask in zip(texts, masks):
+                text.extend(lines if mask is None else compress(lines, mask[i]))
+        return ["".join(text) for text in texts]
+
+    workers = _pool_size(len(runs))
     if workers < 2:
-        for i in range(len(cells)):
-            for fh, text in zip(files, format_run(range(i, i + 1))):
+        for run in runs:
+            for fh, text in zip(files, run_texts(run)):
                 fh.write(text)
         return
     import multiprocessing
 
-    runs = _runs(cells)
-    encodings = [(fh.encoding, fh.errors) for fh in files]
     for fh in files:
         fh.flush()  # the header; the runs go to the file descriptors
     procs, pipes = [], []
@@ -296,7 +304,7 @@ def _write_runs(files, format_run, cells) -> None:
             pipes.append(read_end)
             try:  # a worker holds no other worker's write end, so its exit reads as EOF
                 procs.append(multiprocessing.get_context("fork").Process(
-                    target=_format_to_pipe, args=(format_run, runs[w::workers], encodings, write_end)
+                    target=_format_to_pipe, args=(run_texts, runs[w::workers], write_end)
                 ))
                 procs[-1].start()
             finally:
@@ -324,24 +332,18 @@ def _write_dataset_csvs(d: GroupedDataset, outputs) -> None:
     bytes `write_dataset_csv` writes for the dataset of its rows.
     """
     header = ",".join(["group", "y"] + [f"x{j + 1}" for j in range(d.p)]) + "\n"
+
+    def group_lines(r):
+        g = d.groups[r]
+        return _csv_lines(_csv_field(g.id) + ",", np.column_stack([g.responses, g.features]), "")
+
     with ExitStack() as stack:
-        files, masks = [], []
-        for path, rows in outputs:
-            files.append(stack.enter_context(Path(path).open("w", newline="")))
-            files[-1].write(header)
-            masks.append(None if rows is None else np.split(rows, d.offsets[1:]))
-
-        def format_run(groups):
-            texts = [[] for _ in files]
-            for r in groups:
-                g = d.groups[r]
-                values = np.column_stack([g.responses, g.features])
-                lines = _csv_lines(_csv_field(g.id) + ",", values, "")
-                for text, mask in zip(texts, masks):
-                    text.extend(lines if mask is None else compress(lines, mask[r]))
-            return ["".join(text) for text in texts]
-
-        _write_runs(files, format_run, d.n_r * (d.p + 1))
+        files = [stack.enter_context(Path(path).open("w", newline="", encoding="utf-8"))
+                 for path, _ in outputs]
+        for fh in files:
+            fh.write(header)
+        masks = [None if rows is None else np.split(rows, d.offsets[1:]) for _, rows in outputs]
+        _write_runs(files, masks, group_lines, d.n_r * (d.p + 1))
 
 
 def write_model_json(result: FitResult, path) -> None:
@@ -365,7 +367,7 @@ def write_model_json(result: FitResult, path) -> None:
 
 def _write_json(doc: dict, path) -> None:
     """Write ``doc`` as indented JSON and a final newline, encoded straight to the file."""
-    with Path(path).open("w") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -378,7 +380,7 @@ def _read_json(path, build):
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (RecursionError, ValueError) as exc:  # also deep nesting or a UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -460,17 +462,14 @@ def write_predictions_csv(preds: GroupPredictions, path) -> None:
     new_run = (group[1:] != group[:-1]) | (fallback[1:] != fallback[:-1])
     bounds = [0, *(np.flatnonzero(new_run) + 1).tolist(), len(group)] if len(group) else [0]
 
-    def format_run(blocks):
-        lines = []
-        for b in blocks:
-            start, stop = bounds[b], bounds[b + 1]
-            prefix = _csv_field(group[start]) + ","
-            lines += _csv_lines(prefix, values[start:stop], f",{int(fallback[start])}")
-        return ["".join(lines)]
+    def block_lines(b):
+        start, stop = bounds[b], bounds[b + 1]
+        prefix = _csv_field(group[start]) + ","
+        return _csv_lines(prefix, values[start:stop], f",{int(fallback[start])}")
 
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(_PREDICTION_COLUMNS)
-        _write_runs([fh], format_run, 3 * np.diff(bounds))
+        _write_runs([fh], [None], block_lines, 3 * np.diff(bounds))
 
 
 def read_predictions_csv(path) -> dict[str, np.ndarray]:
@@ -505,7 +504,7 @@ def write_selection_report(report: SelectionReport, json_path, csv_path) -> None
 
 def _write_table_csv(columns, rows, path) -> None:
     """Write a report table: floats as their ``repr``, None as an empty cell."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

@@ -5,6 +5,9 @@ import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,8 +615,8 @@ def test_files_csv_or_json_cannot_parse_raise_format_error_naming_the_file(sim):
             read(deep)
 
 
-# The bulk writers' worker pool.  A desk dataset is far below `POOL_CELLS`, so
-# these tests lower it; a small `RUN_CELLS` cuts the rows into many runs.
+# The bulk writers' worker pool.  A desk dataset is one run of `RUN_CELLS`, so
+# these tests lower it to cut the rows into many runs.
 
 
 def _desk_outputs():
@@ -649,7 +652,7 @@ def _write_desk_outputs(out, d, test_rows, preds):
 
 def _write_in_a_pool_worker(out):
     """Run in a daemonic pool worker: the worker count it gets, and the outputs it writes."""
-    return gmr.io._pool_size(gmr.io.POOL_CELLS), _write_desk_outputs(out, *_desk_outputs())
+    return gmr.io._pool_size(2), _write_desk_outputs(out, *_desk_outputs())
 
 
 @pytest.fixture
@@ -663,7 +666,6 @@ def forking(monkeypatch):
         real_start(proc)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
-    monkeypatch.setattr(gmr.io, "POOL_CELLS", 0)
     monkeypatch.setattr(gmr.io, "RUN_CELLS", 48)
     return started
 
@@ -678,7 +680,7 @@ needs_fork = pytest.mark.skipif(
 def test_pooled_writers_write_the_serial_bytes(tmp_path, monkeypatch, forking):
     outputs = _desk_outputs()
     with monkeypatch.context() as m:
-        m.setattr(gmr.io, "POOL_CELLS", 1 << 60)
+        m.setattr(gmr.io, "RUN_CELLS", 1 << 60)
         serial = _write_desk_outputs(tmp_path / "serial", *outputs)
     assert not forking
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # three workers take turns
@@ -691,6 +693,22 @@ def test_pooled_writers_write_the_serial_bytes(tmp_path, monkeypatch, forking):
     assert multiprocessing.active_children() == []
     back = read_dataset_csv(tmp_path / "pooled" / "dataset.csv")
     assert back.group_ids == outputs[0].group_ids
+
+
+@needs_fork
+def test_an_output_of_more_than_one_run_is_pooled(tmp_path, monkeypatch, forking):
+    from gmr import Group, GroupedDataset
+
+    assert gmr.io._pool_size(1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(0)
+    groups = tuple(Group(f"g{r}", rng.normal(size=6), rng.normal(size=(6, 2))) for r in range(3))
+    for R, runs, workers in ((2, 1, 0), (3, 2, 2)):  # 18 float cells a group, 48 a run
+        d = GroupedDataset(groups[:R])
+        assert len(gmr.io._runs(d.n_r * 3)) == runs
+        write_dataset_csv(d, tmp_path / f"{R}.csv")
+        assert len(forking) == workers
+        assert read_dataset_csv(tmp_path / f"{R}.csv").group_ids == d.group_ids
 
 
 @needs_fork
@@ -740,6 +758,82 @@ def test_no_worker_outlives_a_write_that_fails(tmp_path, monkeypatch, forking):
             "--delta-beta", "4", "--seed", "0", "--split", "0.2", "--out", str(tmp_path / "cli")]
     assert main(argv) == 1
     assert multiprocessing.active_children() == []
+
+
+def test_predictions_flag_reads_as_int_does(tmp_path, monkeypatch):
+    # loadtxt takes the first seven as int64 and refuses the last two, which
+    # the cell-by-cell loop reads; either way a flag is true where it is not 0.
+    flags = ["0", "1", "00", "+1", " 1", "2", "-1", "1_0", "99999999999999999999"]
+    real_bulk_rows, parsed = gmr.io._bulk_rows, []
+
+    def spy(fh, fields):
+        table = real_bulk_rows(fh, fields)
+        parsed.append(table is not None)
+        return table
+
+    for i, flag in enumerate(flags):
+        path = _csv_file(tmp_path, PRED_HEADER + f"a,1,2,3,0\nb,1,2,3,{flag}\n", f"f{i}.csv")
+        with monkeypatch.context() as m:
+            m.setattr(gmr.io, "_bulk_rows", spy)
+            bulk = _read_outcome(read_predictions_csv, path)
+            m.setattr(gmr.io, "_bulk_rows", lambda fh, fields: None)
+            assert _read_outcome(read_predictions_csv, path) == bulk
+        assert read_predictions_csv(path)["used_fallback"].tolist() == [False, bool(int(flag))]
+    assert parsed == [True] * 7 + [False] * 2
+    for flag in ("1.0", "x"):
+        path = _csv_file(tmp_path, PRED_HEADER + f"a,1,2,3,0\nb,1,2,3,{flag}\n")
+        with pytest.raises(FormatError) as exc:
+            read_predictions_csv(path)
+        assert str(exc.value) == f"{path}:3: {flag!r} is not an integer"
+
+
+# Every file is UTF-8 under any locale.  The ids are ASCII escapes, so the
+# script itself reads the same under every locale.
+_LOCALE_SCRIPT = r"""
+import codecs, locale, os, sys
+import gmr.io
+from gmr import Group, GroupedDataset, SimConfig, generate
+from gmr.cli import main
+
+out = sys.argv[1]
+d, _ = generate(SimConfig(n=140, K=2, p=2, G=7, sigma=1.0, delta_beta=6.0, seed=3))
+ids = ["\xe9", "\u03a9", "a\xe9,\u03a9"] + [f"g{r}" for r in range(3, d.R)]
+d = GroupedDataset(tuple(Group(gid, g.responses, g.features) for gid, g in zip(ids, d.groups)))
+gmr.io.write_dataset_csv(d, f"{out}/serial.csv")
+gmr.io.RUN_CELLS = 48
+os.sched_getaffinity = lambda pid: {0, 1}
+gmr.io.write_dataset_csv(d, f"{out}/pooled.csv")
+assert gmr.io.read_dataset_csv(f"{out}/pooled.csv").group_ids == tuple(ids)
+assert main(["fit", "--data", f"{out}/pooled.csv", "--K", "2", "--seed", "0",
+             "--out", f"{out}/model.json"]) == 0
+assert main(["predict", "--model", f"{out}/model.json", "--data", f"{out}/serial.csv",
+             "--out", f"{out}/preds.csv"]) == 0
+assert main(["evaluate", "--predictions", f"{out}/preds.csv", "--out", f"{out}/metrics.json"]) == 0
+print(codecs.lookup(locale.getpreferredencoding(False)).name, gmr.io._pool_size(2))
+"""
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = {}
+    for lc in ("C", "C.UTF-8"):
+        out = tmp_path / lc
+        out.mkdir()
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": lc,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _LOCALE_SCRIPT, str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        encoding, workers = proc.stdout.split()[-2:]
+        if lc == "C":
+            assert encoding == "ascii"
+            assert workers == ("2" if hasattr(os, "splice") else "1")  # the writes were pooled
+        written[lc] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert written["C"] == written["C.UTF-8"]
+    files = written["C"]
+    assert set(files) == {"serial.csv", "pooled.csv", "model.json", "preds.csv", "metrics.json"}
+    assert files["pooled.csv"] == files["serial.csv"]
+    assert b'\n\xc3\xa9,' in files["serial.csv"] and b'\n"a\xc3\xa9,\xce\xa9",' in files["preds.csv"]
 
 
 # The bulk reader's scan for whitespace only numpy's float parser strips.
