@@ -6,8 +6,7 @@ derived from the master seed and the (cell, rep) coordinates, so results do
 not depend on execution order and a worker pool produces exactly the
 sequential output.  A `GmrError` inside a replication is recorded on its
 record rather than aborting the sweep; any other exception propagates.
-`gmr evaluate` scores a fit with the same `_label_scores`, and both take
-hold-out RMSE from `predict._holdout_rmse`, as `select_k` does.
+`gmr evaluate` scores a fit with the same `_label_scores` and `_holdout_rmse`.
 """
 
 from __future__ import annotations
@@ -19,11 +18,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import _check_integer, _check_real, _check_seed, _from_dict
+from .data import GroupedDataset, _check_integer, _check_real, _check_seed, _from_dict
 from .em import EmConfig, FitResult, fit
 from .errors import GmrError
 from .metrics import beta_error, confusion, nmi, rmse
-from .predict import _holdout_rmse, map_predict_fmr
+from .predict import map_predict_fmr, predict_groups
 from .simulate import GroundTruth, SimConfig, _group_id, generate, train_test_split
 
 __all__ = ["BenchmarkSpec", "aggregate", "aggregate_columns", "iter_records"]
@@ -130,6 +129,12 @@ def _label_scores(result: FitResult, truth: GroundTruth) -> dict:
     f = confusion(true, est, n_true=truth.beta_true.shape[1], n_est=result.params.K)
     return {"nmi": nmi(true, est),
             "beta_error": beta_error(truth.beta_true, result.params.beta, f)}
+
+
+def _holdout_rmse(result: FitResult, data: GroupedDataset) -> float:
+    """RMSE of the fit's posterior-mean predictions of ``data``; unseen groups mix with pi."""
+    preds = predict_groups(result, data, on_unknown="prior")
+    return rmse(preds.y_true, preds.y_pred)
 
 
 def _replicate(task: tuple) -> dict:

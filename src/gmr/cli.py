@@ -34,7 +34,7 @@ from .data import _from_dict
 from .em import EmConfig, InitStrategy, fit
 from .errors import GmrError, NonFiniteError
 from .metrics import rmse
-from .predict import _holdout_rmse, predict_groups
+from .predict import predict_groups
 from .select import select_k
 from .simulate import SimConfig, _test_rows, generate
 
@@ -223,9 +223,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.truth:
             record.update(bench._label_scores(model, io.read_truth_json(args.truth)[0]))
         if args.train:
-            record["rmse_train"] = _holdout_rmse(model, io.read_dataset_csv(args.train))
+            record["rmse_train"] = bench._holdout_rmse(model, io.read_dataset_csv(args.train))
         if args.test:
-            record["rmse_test"] = _holdout_rmse(model, io.read_dataset_csv(args.test))
+            record["rmse_test"] = bench._holdout_rmse(model, io.read_dataset_csv(args.test))
     if args.predictions is not None:
         cols = io.read_predictions_csv(args.predictions)
         if not cols["y_true"].size:

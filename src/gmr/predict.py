@@ -25,7 +25,6 @@ from numpy.typing import NDArray
 from .data import GroupedDataset, ModelParams, _readonly, validate_dataset
 from .em import FitResult, _log_sum_exp
 from .errors import DimensionMismatchError, UnknownGroupError
-from .metrics import rmse
 
 __all__ = [
     "GroupPredictions",
@@ -194,9 +193,3 @@ def predict_groups(
         log_density=log_density,
         used_fallback=np.repeat(unknown, test.n_r),
     )
-
-
-def _holdout_rmse(fit: FitResult, test: GroupedDataset) -> float:
-    """RMSE of the fit's posterior-mean predictions of ``test``; unseen groups mix with pi."""
-    preds = predict_groups(fit, test, on_unknown="prior")
-    return rmse(preds.y_true, preds.y_pred)

@@ -16,7 +16,7 @@ import numpy as np
 from .data import GroupedDataset, Responsibilities, compute_group_stats, validate_dataset
 from .em import EmConfig, fit, m_step_beta
 from .metrics import rmse
-from .predict import _holdout_rmse
+from .predict import predict_groups
 from .simulate import train_test_split
 
 __all__ = ["SelectionReport", "baseline_mean", "baseline_ols", "select_k"]
@@ -123,7 +123,9 @@ def select_k(
             scores[1].append(baseline_ols(train, test, template.ridge))
         for k, fit_seed in zip(k_grid, children[1:]):
             fit_cfg = replace(template, K=k, seed=int(fit_seed.generate_state(1)[0]))
-            scores[k].append(_holdout_rmse(fit(train, fit_cfg), test))
+            result = fit(train, fit_cfg)
+            preds = predict_groups(result, test)
+            scores[k].append(rmse(preds.y_true, preds.y_pred))
         logger.debug("rep %d scored", rep)
 
     rmse_by_k = {k: float(np.mean(v)) for k, v in scores.items()}
