@@ -11,6 +11,7 @@ record rather than aborting the sweep; any other exception propagates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, replace
@@ -137,21 +138,21 @@ def _holdout_rmse(result: FitResult, data: GroupedDataset) -> float:
     return rmse(preds.y_true, preds.y_pred)
 
 
-def _replicate(task: tuple) -> dict:
-    cell, cell_idx, rep, base_seed, test_frac, em_template, want_rmse = task
+def _replicate(spec: BenchmarkSpec, cell_idx: int, cell: dict, rep: int) -> dict:
     unset = ("seed", "nmi", "beta_error", "rmse_train", "rmse_test", "rmse_fmr", "n_iter",
              "converged", "error")
     record = {**cell, "rep": rep, **dict.fromkeys(unset)}
-    seq = np.random.SeedSequence(base_seed, spawn_key=(cell_idx, rep))
+    seq = np.random.SeedSequence(spec.seed, spawn_key=(cell_idx, rep))
     tag, s_gen, s_split, s_fit = (int(v) for v in seq.generate_state(4))
     record["seed"] = tag
+    want_rmse = "rmse" in spec.metrics
     try:
         sim = SimConfig(**cell, seed=s_gen)  # a cell holds exactly the grid fields
         data, truth = generate(sim)
         train = data
         if want_rmse:
-            train, test = train_test_split(data, test_frac, s_split)
-        result = fit(train, replace(em_template, K=sim.K, seed=s_fit))
+            train, test = train_test_split(data, spec.test_frac, s_split)
+        result = fit(train, replace(spec._em_template(), K=sim.K, seed=s_fit))
         record.update(_label_scores(result, truth))
         if want_rmse:
             record["rmse_train"] = _holdout_rmse(result, train)
@@ -166,24 +167,22 @@ def _replicate(task: tuple) -> dict:
 
 
 def iter_records(spec: BenchmarkSpec, jobs: int = 1) -> Iterator[dict]:
-    """Yield one record per replication, in deterministic (cell, rep) order."""
-    em_template = spec._em_template()
-    want_rmse = "rmse" in spec.metrics
-    tasks = [
-        (cell, cell_idx, rep, spec.seed, spec.test_frac, em_template, want_rmse)
-        for cell_idx, cell in enumerate(spec.cells())
-        for rep in range(spec.n_reps)
-    ]
-    logger.info("benchmark: %d cells x %d reps", len(spec.cells()), spec.n_reps)
+    """Yield one record per replication, in deterministic (cell, rep) order.
+
+    With ``jobs`` above 1, a pool of at most one worker per replication runs them.
+    """
+    replicate = functools.partial(_replicate, spec)
+    cells = spec.cells()
+    tasks = [(i, cell, rep) for i, cell in enumerate(cells) for rep in range(spec.n_reps)]
+    logger.info("benchmark: %d cells x %d reps", len(cells), spec.n_reps)
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
-        for task in tasks:
-            yield _replicate(task)
+        yield from itertools.starmap(replicate, tasks)
         return
     from concurrent.futures import ProcessPoolExecutor  # here, so `import gmr.cli` loads no multiprocessing
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        yield from pool.map(_replicate, tasks, chunksize=chunk)
+        yield from pool.map(replicate, *zip(*tasks), chunksize=max(1, len(tasks) // (jobs * 4)))
 
 
 def aggregate(records: Iterable[dict]) -> list[dict]:

@@ -125,24 +125,15 @@ def _size_summary(sizes) -> str:
 
 def _parse_k_grid(text: str) -> list[int]:
     grid: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "-" in token[1:]:
-            lo, _, hi = token.partition("-")
-            try:
-                lo, hi = int(lo), int(hi)
-            except ValueError:
-                raise _UsageError(f"bad K range {token!r}") from None
+    for token in filter(None, map(str.strip, text.split(","))):
+        kind = "range" if "-" in token[1:] else "value"  # a leading minus signs a value
+        try:
+            lo, hi = map(int, token.partition("-")[::2] if kind == "range" else (token, token))
             if hi < lo:
-                raise _UsageError(f"bad K range {token!r}")
-            grid.extend(range(lo, hi + 1))
-        else:
-            try:
-                grid.append(int(token))
-            except ValueError:
-                raise _UsageError(f"bad K value {token!r}") from None
+                raise ValueError
+        except ValueError:
+            raise _UsageError(f"bad K {kind} {token!r}") from None
+        grid.extend(range(lo, hi + 1))
     if not grid:
         raise _UsageError("empty K grid")
     if min(grid) < 1:
@@ -362,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("benchmark", help="run a Monte Carlo grid sweep")
     ben.add_argument("--spec", required=True, help="benchmark spec JSON")
-    ben.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)")
+    ben.add_argument("--jobs", type=int, default=1,
+                     help="worker processes, at least 1, at most one per replication (default 1)")
     ben.add_argument("--seed", type=int, help="override the spec's seed")
     ben.add_argument("--out", required=True, help="JSON-lines path, not *.csv (aggregate CSV beside it)")
 

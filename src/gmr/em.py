@@ -76,7 +76,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyClusterError,
     GmrError,
-    NonFiniteError,
     SingularSystemError,
     TooFewGroupsError,
 )
@@ -320,13 +319,9 @@ def log_joint(stats: GroupedDataset, params: ModelParams) -> NDArray[np.float64]
 
     Raises
     ------
-    NonFiniteError
-        If any sigma2 entry is not strictly positive.
     DimensionMismatchError
         If the feature dimensions of stats and params disagree.
     """
-    if (params.sigma2 <= 0).any():
-        raise NonFiniteError("sigma2 entries must be strictly positive")
     if stats.p != params.p:
         raise DimensionMismatchError(
             f"stats have p={stats.p} but params have p={params.p}"
@@ -678,9 +673,7 @@ def _run_restarts(
     c = _constants(d)
     rows = max(1, PRODUCT_BYTES // (8 * cfg.K * c.layout.shape[1]))  # restarts per product
     product = np.empty((min(rows, live.size), cfg.K, c.layout.shape[1]))  # reused every iteration
-    # Each restart's log-likelihood history, one row per seed; grown by
-    # doubling, so a large max_iter reserves nothing the restarts do not reach.
-    lls = np.empty((len(seeds), min(cfg.max_iter, 256)))
+    histories = [[] for _ in seeds]  # each restart's log-likelihood after each iteration
     for t in range(1, cfg.max_iter + 1):
         pi = _m_step_pi(tau)
         w_plus, A, b = _pooled_systems(c, tau)
@@ -701,14 +694,13 @@ def _run_restarts(
         np.subtract(posterior, tau, out=tau)
         delta = np.maximum(tau.max(axis=(1, 2)), -tau.min(axis=(1, 2)))
         tau = posterior  # the previous stack is released before any copy of this one
-        if t > lls.shape[1]:
-            lls = np.concatenate([lls, np.empty_like(lls)], axis=1)
-        lls[live, t - 1] = row_ll.sum(axis=-1)
+        for s, ll in zip(live.tolist(), row_ll.sum(axis=-1).tolist()):
+            histories[s].append(ll)
         converged = delta < cfg.epsilon
         done = converged | (t == cfg.max_iter)
         if done.any():
             for s in np.flatnonzero(done):
-                trace = _readonly(lls[live[s], :t])
+                trace = _readonly(histories[live[s]])
                 outcomes[live[s]] = FitResult(
                     params=ModelParams(pi=pi[s], beta=coefs[s].T, sigma2=sigma2[s]),
                     tau=Responsibilities(tau[s].T),

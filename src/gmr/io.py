@@ -28,9 +28,9 @@ about `RUN_CELLS` float cells and formats each run once, sending each line
 to every file whose row mask holds it, so `write_dataset_csv` and
 ``simulate --split`` write the dataset and both halves of its split in one
 pass.  An output of more than one run is formatted in worker processes,
-forked one per CPU on Linux with two or more CPUs: they take turns at the
-runs, and the parent moves each run's text into the files in order, so the
-bytes do not change.
+forked one per CPU, at most one per run, on Linux with two or more CPUs:
+they take turns at the runs, and the parent moves each run's text into the
+files in order, so the bytes do not change.
 """
 
 from __future__ import annotations
@@ -83,18 +83,12 @@ class FormatError(GmrError, ValueError):
     """A file does not match the expected format."""
 
 
-def _float(text: str, where: str) -> float:
+def _cell(convert, text: str, where: str, kind: str):
+    """``convert(text)``, or the `FormatError` saying the cell at ``where`` is not ``kind``."""
     try:
-        return float(text)
+        return convert(text)
     except ValueError:
-        raise FormatError(f"{where}: {text!r} is not a number") from None
-
-
-def _flag(text: str, where: str) -> bool:
-    try:
-        return bool(int(text))
-    except ValueError:
-        raise FormatError(f"{where}: {text!r} is not an integer") from None
+        raise FormatError(f"{where}: {text!r} is not {kind}") from None
 
 
 def _bulk_rows(fh, fields):
@@ -171,9 +165,9 @@ def _read_rows(path: Path, header_ok, expected: str, flagged: bool = False):
             if len(row) != width:
                 raise FormatError(f"{where}: expected {width} columns, got {len(row)}")
             codes.append(index.setdefault(row[0], len(index)))
-            values.append([_float(cell, where) for cell in row[1 : m + 1]])
+            values.append([_cell(float, cell, where, "a number") for cell in row[1 : m + 1]])
             if flagged:
-                flags.append(_flag(row[-1], where))
+                flags.append(_cell(int, row[-1], where, "an integer") != 0)
         flags = np.array(flags, dtype=bool) if flagged else None
         return list(index), np.array(codes, dtype=np.intp), np.array(values).reshape(-1, m), flags
     except UnicodeDecodeError as exc:
@@ -230,15 +224,15 @@ def _runs(cells) -> list[range]:
 def _pool_size(runs: int) -> int:
     """Worker processes to format an output of ``runs`` runs; 1 formats it here.
 
-    One per CPU this process may run on, for an output of more than one run,
-    on Linux (``fork`` and ``os.splice``) and outside a daemonic process,
-    which may not start processes of its own.
+    One per CPU this process may run on, and at most one per run, for an
+    output of more than one run, on Linux (``fork`` and ``os.splice``) and
+    outside a daemonic process, which may not start processes of its own.
     """
     if runs < 2 or not hasattr(os, "splice") or not hasattr(os, "sched_getaffinity"):
         return 1
     import multiprocessing
 
-    return 1 if multiprocessing.current_process().daemon else len(os.sched_getaffinity(0))
+    return 1 if multiprocessing.current_process().daemon else min(runs, len(os.sched_getaffinity(0)))
 
 
 def _format_to_pipe(run_texts, runs, fd) -> None:

@@ -52,6 +52,30 @@ def test_records_deterministic_and_jobs_invariant():
     assert a == b == c
 
 
+def test_a_pool_starts_at_most_one_worker_per_replication(monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:  # records its size and maps here, starting no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    spec = small_spec(n=80)  # one cell, two replications
+    assert list(iter_records(spec, jobs=64)) == list(iter_records(spec, jobs=1))
+    assert asked == [2]
+
+
 def test_rep_seeds_differ_across_cells_and_reps():
     spec = small_spec()
     seeds = [r["seed"] for r in iter_records(spec)]

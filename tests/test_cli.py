@@ -305,6 +305,34 @@ def test_select_k_reversed_k_range_is_usage_error(sim_dir, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("2,3,4", [2, 3, 4]),
+    ("2-8", [2, 3, 4, 5, 6, 7, 8]),
+    (" 1 , 3-4,", [1, 3, 4]),
+    ("3-3", [3]),
+    ("2-3,7", [2, 3, 7]),
+    ("", "empty K grid"),
+    (",,", "empty K grid"),
+    ("0", "--k-grid: K values must be at least 1, got 0"),
+    ("-3", "--k-grid: K values must be at least 1, got -3"),
+    ("1,-1", "--k-grid: K values must be at least 1, got -1"),
+    ("a", "bad K value 'a'"),
+    ("-", "bad K value '-'"),
+    ("2--3", "bad K range '2--3'"),
+    ("-2-4", "bad K range '-2-4'"),
+    ("1-a", "bad K range '1-a'"),
+    ("5-2", "bad K range '5-2'"),
+    ("x-", "bad K range 'x-'"),
+])
+def test_k_grid_tokens_parse_or_give_their_message(text, expected):
+    if isinstance(expected, list):
+        assert gmr.cli._parse_k_grid(text) == expected
+    else:
+        with pytest.raises(gmr.cli._UsageError) as info:
+            gmr.cli._parse_k_grid(text)
+        assert str(info.value) == expected
+
+
 def test_malformed_model_json_exit_1_naming_the_file(sim_dir, tmp_path, capsys):
     model = tmp_path / "model.json"
     assert run(["fit", "--data", str(sim_dir / "train.csv"), "--K", "2", "--seed", "1", "--out", str(model)]) == 0

@@ -709,6 +709,13 @@ def test_an_output_of_more_than_one_run_is_pooled(tmp_path, monkeypatch, forking
         write_dataset_csv(d, tmp_path / f"{R}.csv")
         assert len(forking) == workers
         assert read_dataset_csv(tmp_path / f"{R}.csv").group_ids == d.group_ids
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    write_dataset_csv(d, tmp_path / "8cpu.csv")  # two runs on eight CPUs: one worker a run
+    assert len(forking) == 2 + 2
+    monkeypatch.setattr(gmr.io, "RUN_CELLS", 1 << 60)
+    write_dataset_csv(d, tmp_path / "serial.csv")
+    assert len(forking) == 2 + 2
+    assert (tmp_path / "8cpu.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 @needs_fork
