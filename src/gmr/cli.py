@@ -126,7 +126,7 @@ def _size_summary(sizes) -> str:
 def _parse_k_grid(text: str) -> list[int]:
     grid: list[int] = []
     for token in filter(None, map(str.strip, text.split(","))):
-        kind = "range" if "-" in token[1:] else "value"  # a leading minus signs a value
+        kind = "range" if "-" in token[1:] else "value"  # a leading minus is a sign
         try:
             lo, hi = map(int, token.partition("-")[::2] if kind == "range" else (token, token))
             if hi < lo:
